@@ -234,6 +234,7 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
     )
     gaussian = spec.coupling.kind == "gaussian"
     quenched = cfg.mode == "quenched"
+    limits = _limit_factors(cfg, spec)
     records = []
     for wi, window in enumerate(windows):
         cv = CountVector(counts[:, wi])
@@ -241,7 +242,7 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
         p1 = theory.marginal_window_prob(norm, window)
         lam = len(cloud) * p1 if quenched else 2.0**m * p1
         sa = {}
-        if gaussian and cfg.n <= 4000:
+        if gaussian and cfg.n <= theory._SEMIANALYTIC_MAX_N:
             sa[1] = theory.semianalytic_moment(spec, cfg.n, m, window, 1)
             sa[2] = theory.semianalytic_moment(spec, cfg.n, m, window, 2)
         if gaussian and cfg.n <= 32:
@@ -262,7 +263,8 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
                 "stderr": rep.stderr,
                 "reference_semianalytic": ref_sa,
                 "reference_conditional": cond.get(ell),
-                "reference_asymptotic": _asymptotic_moment(cfg, spec, mu, ell),
+                "reference_asymptotic":
+                    mu**ell * limits[ell - 1] if limits and ell < 3 else None,
                 "within_3se": None if ref_for_verdict is None else bool(
                     abs(rep.estimate - ref_for_verdict) <= 3 * rep.stderr
                 ),
@@ -277,7 +279,7 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
                     sa[2] / sa[1] ** 2 if 1 in sa and 2 in sa else None,
                 "reference_conditional":
                     cond[2] / cond[1] ** 2 if 1 in cond and 2 in cond else None,
-                "reference_asymptotic": _asymptotic_ratio(cfg, spec),
+                "reference_asymptotic": _limit_ratio(limits),
                 "within_3se_of_poisson": bool(abs(ratio - 1.0) <= 3 * ratio_se),
             }))
         if cfg.gof and cfg.replicas >= 1000:
@@ -320,38 +322,21 @@ def _limit_tag(cfg: ExperimentConfig, spec: ModelSpec):
     return None, None
 
 
-def _asymptotic_moment(cfg: ExperimentConfig, spec: ModelSpec, mu: float, ell: int):
-    """mu(A)^ell times the limit factor, when a limit theorem applies."""
-    if ell == 3:
-        return None
+def _limit_factors(cfg: ExperimentConfig, spec: ModelSpec):
+    """Limits of m1/mu(A) and m2/mu(A)^2, or None where no limit theorem applies."""
     tag, scaling = _limit_tag(cfg, spec)
     if tag is None:
         return None
-    eps = cfg.epsilon if cfg.m_rule in ("sqrt", "linear") else 0.0
-    c4 = spec.coupling.c4
-    if tag in ("rem", "pspin") and c4 != 0.0:
-        return None
+    eps = float(cfg.epsilon if cfg.m_rule in ("sqrt", "linear") else 0.0)
     try:
-        factor = theory.limit_constant(tag, scaling, float(eps), ell, c4=c4).value
+        return tuple(theory.limit_constant(tag, scaling, eps, ell, c4=spec.coupling.c4).value
+                     for ell in (1, 2))
     except UsageError:
         return None
-    return mu**ell * factor
 
 
-def _asymptotic_ratio(cfg: ExperimentConfig, spec: ModelSpec):
-    tag, scaling = _limit_tag(cfg, spec)
-    if tag is None:
-        return None
-    eps = cfg.epsilon if cfg.m_rule in ("sqrt", "linear") else 0.0
-    c4 = spec.coupling.c4
-    if tag in ("rem", "pspin") and c4 != 0.0:
-        return None
-    try:
-        m1 = theory.limit_constant(tag, scaling, float(eps), 1, c4=c4).value
-        m2 = theory.limit_constant(tag, scaling, float(eps), 2, c4=c4).value
-    except UsageError:
-        return None
-    return m2 / m1**2
+def _limit_ratio(limits):
+    return limits[1] / limits[0] ** 2 if limits else None
 
 
 def _write_scan_csv(path: str, header: list, rows: list) -> None:
@@ -389,8 +374,7 @@ def cmd_theory(cfg: ExperimentConfig, progress: bool = False) -> list:
         if not cfg.n_values:
             raise UsageError("ratio_scan needs n_values")
         window = cfg.window_objects()[0]
-        tag, scaling = _limit_tag(cfg, spec)
-        limit = _asymptotic_ratio(cfg, spec)
+        limit = _limit_ratio(_limit_factors(cfg, spec))
         for n in cfg.n_values:
             n = int(n)
             sub = ExperimentConfig(**{**asdict(cfg), "n": n})

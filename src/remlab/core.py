@@ -182,7 +182,9 @@ def sample_cloud(
 
     ``exact`` scans all 2^n sites (n <= 24); ``large_n`` draws a Poisson(2^m)
     number of distinct uniform bitstrings, which is within total-variation
-    2^(-n/2) of the exact law once n > 30 and m <= n/2.
+    2^(-n/2) of the exact law once n > 30 and m <= n/2. ``large_n`` refuses
+    m > n/2: a dense cloud turns its distinct-string loop into a coupon
+    collector, which never ends once the Poisson target exceeds 2^n.
     """
     if m > n:
         raise UsageError(f"need 2^m <= 2^n, got m={m} > n={n}")
@@ -192,6 +194,11 @@ def sample_cloud(
         raise UsageError(f"unknown cloud-sampling mode {mode!r}")
     if mode == "exact" and n > _EXACT_MODE_MAX_N:
         raise UsageError(f"exact mode enumerates 2^n sites; limited to n <= {_EXACT_MODE_MAX_N}")
+    if mode == "large_n" and m > n / 2:
+        raise UsageError(
+            f"large_n cloud sampling needs m <= n/2, got m={m} with n={n}; "
+            f"dense clouds need exact mode (n <= {_EXACT_MODE_MAX_N})"
+        )
 
     for attempt in range(2):
         if mode == "exact":

@@ -69,8 +69,10 @@ def _iter_blocks(spec: ModelSpec, cloud: Cloud, seed: int, replicas: int,
     if mode == "annealed":
         # Re-sampling a cloud per replica cannot afford the full 2^n scan;
         # beyond n = 16 the Poisson-size draw is indistinguishable at Monte
-        # Carlo precision (total-variation error below 2^-16).
-        cloud_mode = "exact" if cloud.n <= 16 else "large_n"
+        # Carlo precision (total-variation error below 2^-16). Dense clouds
+        # (m > n/2) stay exact: the distinct-string draw cannot fill them.
+        sparse = cloud.n > 16 and cloud.m <= cloud.n / 2
+        cloud_mode = "large_n" if sparse else "exact"
         for start in range(0, replicas, BLOCK_SIZE):
             cols = []
             for r in range(start, min(start + BLOCK_SIZE, replicas)):

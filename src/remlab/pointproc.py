@@ -108,8 +108,6 @@ class MomentReport:
     order: int
     estimate: float
     stderr: float
-    reference_semianalytic: float | None = None
-    reference_asymptotic: float | None = None
 
 
 def falling_factorial(counts: np.ndarray, ell: int) -> np.ndarray:

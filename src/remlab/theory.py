@@ -1,9 +1,21 @@
 """Reference values: intensity mu, exact finite-n factorial moments, limit constants.
 
-The finite-n moment engine sums exact pair/triple counts against multivariate
-Gaussian window probabilities over the full overlap grid. Everything runs in
-log space: the huge exp(-a_n^2 * s / 2) factor of the joint density is carried
-symbolically, and only the bounded window integral is evaluated by quadrature.
+Every finite-n moment is one sum over an overlap histogram: a log-count per
+overlap value (or triple), the overlaps mapped through the model's covariance
+nu, and one Gaussian window probability per entry from a single kernel,
+``_log_pair_probs`` for pairs and ``_log_triple_probs`` for triples. The
+histograms are the exact binomial pair counts (annealed second moment), the
+pair census of a realized cloud (quenched conditional moments) and the signed
+triple grid (annealed third moment). The terms are combined by a log-sum.
+
+Everything runs in log space: the huge exp(-a_n^2 * s / 2) factor of the
+joint density is carried symbolically, and only the bounded window integral
+is evaluated by tensor Gauss-Legendre quadrature. Covariances within
+``_DEGENERATE_BAND`` of +-1 are exact linear dependences that the tensor rule
+cannot resolve; the kernels eliminate the dependent energy instead (on the
+window reflected under H -> -H when the pair is anticorrelated). The grid
+sums are capped at n <= ``_SEMIANALYTIC_MAX_N`` for pairs and
+n <= ``_THIRD_MOMENT_MAX_N`` for triples.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from scipy.special import gammaln, logsumexp, roots_legendre
 from .core import LOG2
 from .errors import NumericalError, UsageError
 from .models import ModelSpec
-from .pointproc import SQRT_2LOG2, BorelWindow, Normalization
+from .pointproc import BorelWindow, Normalization, _mu_mass
 
 # Gauss-Legendre resolution per interval per dimension. The integrands are
 # analytic on bounded windows; doubling the node count must move results by
@@ -40,11 +52,7 @@ SK_EPS_MAX = 1.0 / (8.0 * LOG2)
 
 def intensity_mu(window: BorelWindow) -> float:
     """Mass of mu(dt) = pi^(-1/2) exp(-t sqrt(2 log 2)) dt on the window."""
-    c = SQRT_2LOG2
-    return sum(
-        (math.exp(-c * lo) - math.exp(-c * hi)) / (c * math.sqrt(math.pi))
-        for lo, hi in window.intervals
-    )
+    return sum(_mu_mass(lo, hi) for lo, hi in window.intervals)
 
 
 @lru_cache(maxsize=32)
@@ -54,9 +62,9 @@ def _interval_rule(lo: float, hi: float, nodes: int) -> tuple:
     return (lo + half * (x + 1.0), half * w)
 
 
-def _window_rule(window: BorelWindow, nodes: int) -> tuple:
+def _window_rule(intervals, nodes: int) -> tuple:
     xs, ws = [], []
-    for lo, hi in window.intervals:
+    for lo, hi in intervals:
         x, w = _interval_rule(lo, hi, nodes)
         xs.append(x)
         ws.append(w)
@@ -66,7 +74,7 @@ def _window_rule(window: BorelWindow, nodes: int) -> tuple:
 def log_marginal_window_prob(norm: Normalization, window: BorelWindow,
                              nodes: int = QUAD_NODES) -> float:
     """log P(H' in window) for one standard-normal energy."""
-    x, w = _window_rule(window, nodes)
+    x, w = _window_rule(window.intervals, nodes)
     a, b = norm.a_n, norm.b_n
     integral = float(np.sum(w * np.exp(-0.5 * b * b * x * x - a * b * x)))
     return math.log(b) - 0.5 * math.log(2.0 * math.pi) - 0.5 * a * a + math.log(integral)
@@ -76,7 +84,7 @@ def marginal_window_prob(norm: Normalization, window: BorelWindow) -> float:
     return math.exp(log_marginal_window_prob(norm, window))
 
 
-def _intersect_intervals(a: list, b: list) -> list:
+def _intersect_intervals(a, b) -> list:
     out = []
     for lo1, hi1 in a:
         for lo2, hi2 in b:
@@ -86,84 +94,69 @@ def _intersect_intervals(a: list, b: list) -> list:
     return sorted(out)
 
 
-def _log_pair_prob_batch(bs: np.ndarray, norm: Normalization, window: BorelWindow,
-                         nodes: int = QUAD_NODES) -> np.ndarray:
-    """log P(H'_1 in A, H'_2 in A) for a batch of correlations |b| < 1.
+def _reflect_raw(win, norm: Normalization) -> list:
+    """x-image of a window under H -> -H: x maps to -2 a/b - x."""
+    shift = -2.0 * norm.a_n / norm.b_n
+    return sorted((shift - hi, shift - lo) for lo, hi in win)
 
-    Uses the closed 2x2 inverse: (1,B^-1 1) = 2/(1+b), quadratic form
-    (x1^2 + x2^2 - 2 b x1 x2)/(1 - b^2).
+
+def _in_band(b) -> np.ndarray:
+    return np.abs(b) >= 1.0 - _DEGENERATE_BAND
+
+
+def _cov(spec: ModelSpec, r) -> np.ndarray:
+    """Energy covariances nu(r) at signed overlaps r (odd mixtures need the sign)."""
+    return np.atleast_1d(np.asarray(spec.nu(r), dtype=float))
+
+
+def _log_pair_probs(b, norm: Normalization, win1, win2,
+                    nodes: int = QUAD_NODES) -> np.ndarray:
+    """log P(H'_1 in win1, H'_2 in win2) for a batch of correlations b.
+
+    Regular entries use the closed 2x2 inverse: (1,B^-1 1) = 2/(1+b),
+    quadratic form (x1^2 + x2^2 - 2 b x1 x2)/(1 - b^2). Entries in the
+    degenerate band collapse to one energy on win1 intersected with win2,
+    reflected when b < 0. Empty windows give -inf.
     """
-    x, w = _window_rule(window, nodes)
-    a, bn = norm.a_n, norm.b_n
-    sq = (x[:, None] ** 2 + x[None, :] ** 2).ravel()
-    cross = (x[:, None] * x[None, :]).ravel()
-    lin = (x[:, None] + x[None, :]).ravel()
-    ww = (w[:, None] * w[None, :]).ravel()
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    out = np.full(len(b), -math.inf)
+    if not win1 or not win2:
+        return out
+    degenerate = _in_band(b)
+    for i in np.nonzero(degenerate)[0]:
+        common = _intersect_intervals(win1, win2 if b[i] > 0 else _reflect_raw(win2, norm))
+        if common:
+            out[i] = log_marginal_window_prob(norm, BorelWindow(tuple(common)), nodes)
 
-    bs = np.asarray(bs, dtype=float)
-    out = np.empty(len(bs))
+    bs = b[~degenerate]
+    x1, w1 = _window_rule(win1, nodes)
+    x2, w2 = _window_rule(win2, nodes)
+    a, bn = norm.a_n, norm.b_n
+    sq = (x1[:, None] ** 2 + x2[None, :] ** 2).ravel()
+    cross = (x1[:, None] * x2[None, :]).ravel()
+    lin = (x1[:, None] + x2[None, :]).ravel()
+    ww = (w1[:, None] * w2[None, :]).ravel()
+    regular = np.empty(len(bs))
     chunk = 512
     for start in range(0, len(bs), chunk):
-        b = bs[start : start + chunk][:, None]
+        bc = bs[start : start + chunk][:, None]
         expo = (
-            -0.5 * bn * bn / (1.0 - b * b) * sq[None, :]
-            + bn * bn * b / (1.0 - b * b) * cross[None, :]
-            - a * bn / (1.0 + b) * lin[None, :]
+            -0.5 * bn * bn / (1.0 - bc * bc) * sq[None, :]
+            + bn * bn * bc / (1.0 - bc * bc) * cross[None, :]
+            - a * bn / (1.0 + bc) * lin[None, :]
         )
         integral = np.exp(expo) @ ww
-        bflat = b[:, 0]
+        bflat = bc[:, 0]
         with np.errstate(divide="ignore"):  # integral underflow -> -inf term
-            out[start : start + chunk] = (
+            regular[start : start + chunk] = (
                 2.0 * math.log(bn)
                 - math.log(2.0 * math.pi)
                 - 0.5 * np.log1p(-bflat * bflat)
                 - a * a / (1.0 + bflat)
                 + np.log(integral)
             )
+    out[~degenerate] = regular
     return out
-
-
-def _log_pair_prob_two_windows(b: float, norm: Normalization,
-                               win1: list, win2: list,
-                               nodes: int = QUAD_NODES) -> float:
-    """Pair probability with separate x-window interval lists (reduction path)."""
-    if not win1 or not win2:
-        return -math.inf
-    if abs(b) >= 1.0 - _DEGENERATE_BAND:
-        common = _intersect_intervals(
-            win1, win2 if b > 0 else _reflect_raw(win2, norm)
-        )
-        return _log_p1_intervals(norm, common, nodes)
-    x1, w1 = _window_rule(BorelWindow(tuple(win1)), nodes)
-    x2, w2 = _window_rule(BorelWindow(tuple(win2)), nodes)
-    a, bn = norm.a_n, norm.b_n
-    quad = (x1[:, None] ** 2 + x2[None, :] ** 2 - 2.0 * b * x1[:, None] * x2[None, :]) / (
-        1.0 - b * b
-    )
-    lin = (x1[:, None] + x2[None, :]) / (1.0 + b)
-    expo = -0.5 * bn * bn * quad - a * bn * lin
-    integral = float(np.sum((w1[:, None] * w2[None, :]) * np.exp(expo)))
-    if integral <= 0.0:
-        return -math.inf
-    return (
-        2.0 * math.log(bn)
-        - math.log(2.0 * math.pi)
-        - 0.5 * math.log1p(-b * b)
-        - a * a / (1.0 + b)
-        + math.log(integral)
-    )
-
-
-def _reflect_raw(win: list, norm: Normalization) -> list:
-    """x-image of a window under H -> -H: x maps to -2 a/b - x."""
-    shift = -2.0 * norm.a_n / norm.b_n
-    return sorted((shift - hi, shift - lo) for lo, hi in win)
-
-
-def _log_p1_intervals(norm: Normalization, intervals: list, nodes: int) -> float:
-    if not intervals:
-        return -math.inf
-    return log_marginal_window_prob(norm, BorelWindow(tuple(intervals)), nodes)
 
 
 def _triple_inverse_parts(b12, b23, b31):
@@ -177,10 +170,30 @@ def _triple_inverse_parts(b12, b23, b31):
     return det, i11, i22, i33, i12, i13, i23
 
 
-def _log_triple_prob_batch(b12, b23, b31, norm: Normalization, window: BorelWindow,
-                           nodes: int = QUAD_NODES) -> np.ndarray:
-    """log P(all three H' in A) for batches of non-degenerate covariances."""
-    x, w = _window_rule(window, nodes)
+def _triple_degenerate(b12, b23, b31) -> np.ndarray:
+    return _in_band(b12) | _in_band(b23) | _in_band(b31)
+
+
+def _log_triple_probs(b12, b23, b31, norm: Normalization, window: BorelWindow,
+                      nodes: int = QUAD_NODES) -> np.ndarray:
+    """log P(all three H' in window) for batches of covariance triples.
+
+    When some pair is perfectly (anti)correlated, its second coordinate is
+    eliminated: an anticorrelated pair constrains the survivor to the
+    intersection with the reflected window, and a pair probability remains.
+    """
+    b12, b23, b31 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (b12, b23, b31))
+    degenerate = _triple_degenerate(b12, b23, b31)
+    out = np.empty(len(b12))
+    win = window.intervals
+    for t in np.nonzero(degenerate)[0]:
+        pairs = {(0, 1): b12[t], (1, 2): b23[t], (0, 2): b31[t]}
+        (i, j), b = next((ij, b) for ij, b in pairs.items() if _in_band(b))
+        k = 3 - i - j
+        win_i = win if b > 0 else _intersect_intervals(win, _reflect_raw(win, norm))
+        out[t] = _log_pair_probs(pairs[(min(i, k), max(i, k))], norm, win_i, win, nodes)[0]
+
+    x, w = _window_rule(win, nodes)
     a, bn = norm.a_n, norm.b_n
     x1 = x[:, None, None]
     x2 = x[None, :, None]
@@ -200,10 +213,10 @@ def _log_triple_prob_batch(b12, b23, b31, norm: Normalization, window: BorelWind
     )
     ww = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
 
-    b12 = np.asarray(b12, dtype=float)
-    b23 = np.asarray(b23, dtype=float)
-    b31 = np.asarray(b31, dtype=float)
-    det, i11, i22, i33, i12, i13, i23 = _triple_inverse_parts(b12, b23, b31)
+    regular = ~degenerate
+    det, i11, i22, i33, i12, i13, i23 = _triple_inverse_parts(
+        b12[regular], b23[regular], b31[regular]
+    )
     if np.any(det < _MIN_DET):
         raise NumericalError("triple covariance determinant below 1e-12")
     l1 = i11 + i12 + i13
@@ -224,19 +237,26 @@ def _log_triple_prob_batch(b12, b23, b31, norm: Normalization, window: BorelWind
         ],
         axis=1,
     )
-    out = np.empty(len(det))
+    logp = np.empty(len(det))
     chunk = 128
     with np.errstate(divide="ignore"):  # integral underflow -> -inf term
         for start in range(0, len(det), chunk):
             expo = coeffs[start : start + chunk] @ basis
-            out[start : start + chunk] = np.log(np.exp(expo) @ ww)
-    out += (
+            logp[start : start + chunk] = np.log(np.exp(expo) @ ww)
+    logp += (
         3.0 * math.log(bn)
         - 1.5 * math.log(2.0 * math.pi)
         - 0.5 * np.log(det)
         - 0.5 * a * a * s
     )
+    out[regular] = logp
     return out
+
+
+def _sum_exp(log_terms: np.ndarray) -> float:
+    """exp(logsumexp) over the finite terms; 0 when every term underflowed."""
+    finite = log_terms[np.isfinite(log_terms)]
+    return math.exp(float(logsumexp(finite))) if len(finite) else 0.0
 
 
 def validate_cov(cov: np.ndarray) -> np.ndarray:
@@ -268,69 +288,21 @@ def gaussian_joint_window_prob(cov, norm: Normalization, window: BorelWindow,
     if ell == 1:
         return math.exp(log_marginal_window_prob(norm, window, nodes))
     if ell == 2:
-        b = float(cov[0, 1])
-        if abs(b) >= 1.0 - _DEGENERATE_BAND:
-            win = [tuple(iv) for iv in window.intervals]
-            return math.exp(_log_pair_prob_two_windows(b, norm, win, win, nodes))
-        return math.exp(float(_log_pair_prob_batch(np.array([b]), norm, window, nodes)[0]))
-    b12, b31, b23 = float(cov[0, 1]), float(cov[0, 2]), float(cov[1, 2])
-    if max(abs(b12), abs(b23), abs(b31)) >= 1.0 - _DEGENERATE_BAND:
-        return math.exp(_log_triple_prob_reduced(b12, b23, b31, norm, window, nodes))
-    return math.exp(
-        float(_log_triple_prob_batch(np.array([b12]), np.array([b23]), np.array([b31]),
-                                     norm, window, nodes)[0])
-    )
-
-
-def _log_triple_prob_reduced(b12: float, b23: float, b31: float, norm: Normalization,
-                             window: BorelWindow, nodes: int = QUAD_NODES) -> float:
-    """Triple probability when some pair is perfectly (anti)correlated.
-
-    The dependent coordinate is eliminated; an anticorrelated pair constrains
-    the survivor to the intersection with the reflected window.
-    """
-    win = [tuple(iv) for iv in window.intervals]
-    pairs = {(0, 1): b12, (1, 2): b23, (0, 2): b31}
-    for (i, j), b in pairs.items():
-        if abs(b) >= 1.0 - _DEGENERATE_BAND:
-            k = ({0, 1, 2} - {i, j}).pop()
-            win_i = win if b > 0 else _intersect_intervals(win, _reflect_raw(win, norm))
-            if not win_i:
-                return -math.inf
-            b_ik = pairs[(min(i, k), max(i, k))]
-            return _log_pair_prob_two_windows(b_ik, norm, win_i, win, nodes)
-    raise AssertionError("no degenerate pair found")
-
-
-def _pair_moment_terms(spec: ModelSpec, n: int, m: float, window: BorelWindow,
-                       nodes: int = QUAD_NODES) -> np.ndarray:
-    """log of each grid term of the annealed second factorial moment.
-
-    Signed-overlap decomposition: exactly 2^n * C(n, k) ordered pairs sit at
-    signed overlap 1 - 2k/n, and the covariance nu(r) is evaluated at the
-    signed value (essential for odd mixtures). k = 0 (identical pairs) is
-    excluded; nu values at +-1 are reduced analytically.
-    """
-    norm = Normalization(m)
-    k = np.arange(1, n + 1)
-    r = (n - 2.0 * k) / n
-    b = np.atleast_1d(np.asarray(spec.nu(r), dtype=float))
-    log_pairs = n * LOG2 + gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    log_weight = log_pairs + 2.0 * (m - n) * LOG2
-
-    logp = np.empty(n)
-    regular = np.abs(b) < 1.0 - _DEGENERATE_BAND
-    if np.any(regular):
-        logp[regular] = _log_pair_prob_batch(b[regular], norm, window, nodes)
-    win = [tuple(iv) for iv in window.intervals]
-    for i in np.nonzero(~regular)[0]:
-        logp[i] = _log_pair_prob_two_windows(float(b[i]), norm, win, win, nodes)
-    return log_weight + logp
+        win = window.intervals
+        return math.exp(float(_log_pair_probs(cov[0, 1], norm, win, win, nodes)[0]))
+    return math.exp(float(_log_triple_probs(cov[0, 1], cov[1, 2], cov[0, 2],
+                                            norm, window, nodes)[0]))
 
 
 def semianalytic_moment(spec: ModelSpec, n: int, m: float, window: BorelWindow,
                         ell: int, nodes: int = QUAD_NODES) -> float:
-    """Exact finite-n annealed factorial moment E(P_n(A))_ell, ell in {1, 2}."""
+    """Exact finite-n annealed factorial moment E(P_n(A))_ell, ell in {1, 2}.
+
+    Signed-overlap decomposition: exactly 2^n * C(n, k) ordered pairs sit at
+    signed overlap 1 - 2k/n, and the covariance nu(r) is evaluated at the
+    signed value (essential for odd mixtures). k = 0 (identical pairs) is
+    excluded.
+    """
     if spec.coupling.kind != "gaussian":
         raise UsageError("semi-analytic moments are available for Gaussian couplings only")
     if n > _SEMIANALYTIC_MAX_N:
@@ -339,11 +311,11 @@ def semianalytic_moment(spec: ModelSpec, n: int, m: float, window: BorelWindow,
         return math.exp(m * LOG2 + log_marginal_window_prob(Normalization(m), window, nodes))
     if ell != 2:
         raise UsageError("semianalytic_moment supports ell in {1, 2}")
-    terms = _pair_moment_terms(spec, n, m, window, nodes)
-    finite = terms[np.isfinite(terms)]
-    if len(finite) == 0:
-        return 0.0
-    return math.exp(float(logsumexp(finite)))
+    k = np.arange(1, n + 1)
+    log_pairs = n * LOG2 + gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    win = window.intervals
+    logp = _log_pair_probs(_cov(spec, (n - 2.0 * k) / n), Normalization(m), win, win, nodes)
+    return _sum_exp(log_pairs + 2.0 * (m - n) * LOG2 + logp)
 
 
 def semianalytic_pair_ratio(spec: ModelSpec, n: int, m: float, window: BorelWindow,
@@ -372,14 +344,8 @@ def conditional_pair_moments(spec: ModelSpec, cloud, norm: Normalization,
     census = cloud_pair_census(cloud)
     rs = np.array(sorted(census))
     counts = np.array([census[r] for r in rs], dtype=float)
-    b = np.atleast_1d(np.asarray(spec.nu(rs), dtype=float))
-    logp = np.empty(len(rs))
-    regular = np.abs(b) < 1.0 - _DEGENERATE_BAND
-    if np.any(regular):
-        logp[regular] = _log_pair_prob_batch(b[regular], norm, window, nodes)
-    win = [tuple(iv) for iv in window.intervals]
-    for i in np.nonzero(~regular)[0]:
-        logp[i] = _log_pair_prob_two_windows(float(b[i]), norm, win, win, nodes)
+    win = window.intervals
+    logp = _log_pair_probs(_cov(spec, rs), norm, win, win, nodes)
     m2 = float(np.sum(counts * np.exp(logp)))
     return m1, m2
 
@@ -422,31 +388,14 @@ def semianalytic_third_moment(spec: ModelSpec, n: int, m: float, window: BorelWi
         raise UsageError("semi-analytic moments are available for Gaussian couplings only")
     if n > _THIRD_MOMENT_MAX_N:
         raise UsageError(f"third-moment grid summation limited to n <= {_THIRD_MOMENT_MAX_N}")
-    norm = Normalization(m)
     r12, r23, r31, log_count, distinct = _triple_grid(n)
-    b12 = np.atleast_1d(np.asarray(spec.nu(r12), dtype=float))
-    b23 = np.atleast_1d(np.asarray(spec.nu(r23), dtype=float))
-    b31 = np.atleast_1d(np.asarray(spec.nu(r31), dtype=float))
-    bmax = np.maximum(np.abs(b12), np.maximum(np.abs(b23), np.abs(b31)))
-    regular = distinct & (bmax < 1.0 - _DEGENERATE_BAND)
-    degenerate = distinct & ~regular
-
-    log_weight = log_count + 3.0 * (m - n) * LOG2
-    parts = []
-    if np.any(regular):
-        logp = _log_triple_prob_batch(b12[regular], b23[regular], b31[regular],
-                                      norm, window, nodes)
-        parts.append(log_weight[regular] + logp)
-    for i in np.nonzero(degenerate)[0]:
-        logp = _log_triple_prob_reduced(float(b12[i]), float(b23[i]), float(b31[i]),
-                                        norm, window, nodes)
-        if math.isfinite(logp):
-            parts.append(np.array([log_weight[i] + logp]))
-    if not parts:
-        return 0.0
-    terms = np.concatenate(parts)
-    terms = terms[np.isfinite(terms)]
-    return math.exp(float(logsumexp(terms))) if len(terms) else 0.0
+    b12, b23, b31 = _cov(spec, r12), _cov(spec, r23), _cov(spec, r31)
+    # regular triples first, degenerate ones last, each in grid order: the
+    # log-sum below is order-sensitive at the last-bit level
+    idx = np.nonzero(distinct)[0]
+    idx = idx[np.argsort(_triple_degenerate(b12[idx], b23[idx], b31[idx]), kind="stable")]
+    logp = _log_triple_probs(b12[idx], b23[idx], b31[idx], Normalization(m), window, nodes)
+    return _sum_exp(log_count[idx] + 3.0 * (m - n) * LOG2 + logp)
 
 
 @dataclass(frozen=True)

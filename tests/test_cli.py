@@ -170,6 +170,27 @@ def test_main_exit_codes(tmp_path):
     assert main(["comb", "--override", "comb_kind=verify", "--override", "n=99"]) == 2
 
 
+def test_annealed_dense_cloud_finishes():
+    # per-replica clouds with m > n/2 are drawn exactly; the distinct-string
+    # sampler never returned for n = m = 17
+    proc = subprocess.run(
+        [sys.executable, "-m", "remlab.cli", "simulate", "--override", "n=17",
+         "--override", "m=17", "--override", "mode=annealed", "--override", "replicas=4"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    cloud = json.loads(proc.stdout.splitlines()[-1])
+    assert cloud["record"] == "cloud" and cloud["size"] == 2**17
+
+
+def test_dense_cloud_beyond_exact_range_exits_2(capsys):
+    argv = ["simulate", "--override", "n=26", "--override", "m=14",
+            "--override", "replicas=4"]
+    assert main(argv) == 2
+    assert main(argv + ["--override", "mode=annealed"]) == 2
+    assert "m <= n/2" in capsys.readouterr().err
+
+
 def test_console_entry_point(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("model = rem\nn = 32\nm = 6\nreplicas = 64\ngof = false\nspacing = false\n")

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -131,6 +133,23 @@ def test_sample_cloud_mode_contracts():
         sample_cloud(10, 12.0, rng)
     with pytest.raises(UsageError):
         sample_cloud(10, -5.0, np.random.default_rng(4))  # empty after resample
+
+
+def test_large_n_refuses_dense_clouds_without_hanging():
+    # the distinct-string draw once looped forever here: Poisson(16) > 2^4 strings
+    code = (
+        "import numpy as np\n"
+        "from remlab.core import sample_cloud\n"
+        "from remlab.errors import UsageError\n"
+        "try:\n"
+        "    sample_cloud(4, 4.0, np.random.default_rng(0), mode='large_n')\n"
+        "except UsageError:\n"
+        "    raise SystemExit(2)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode == 2
+    with pytest.raises(UsageError):
+        sample_cloud(40, 20.5, np.random.default_rng(0))  # auto mode, n > 24
 
 
 def test_max_overlap_within_delta_bound():

@@ -61,14 +61,16 @@ def test_unbounded_window_rejected():
 # ------------------------------------------------- joint window probabilities
 
 
-def _oracle_conditional(cov, lo, hi, nodes=220):
-    """Independent route: exact normal CDF for the last coordinate,
-    conditioned on a fine tensor rule over the leading block."""
+def _oracle_conditional(cov, lo, hi, nodes=220, lead=None):
+    """Independent route: exact normal CDF for the last coordinate on
+    [lo, hi], conditioned on a fine tensor rule over the leading block on
+    ``lead`` (default [lo, hi])."""
     cov = np.asarray(cov, dtype=float)
     ell = cov.shape[0]
+    lead_lo, lead_hi = (lo, hi) if lead is None else lead
     x, wt = roots_legendre(nodes)
-    x = lo + (hi - lo) * (x + 1) / 2
-    wt = wt * (hi - lo) / 2
+    x = lead_lo + (lead_hi - lead_lo) * (x + 1) / 2
+    wt = wt * (lead_hi - lead_lo) / 2
     if ell == 2:
         pts = x[None, :]
         dens = np.exp(-0.5 * pts[0] ** 2) / math.sqrt(2 * math.pi)
@@ -199,32 +201,38 @@ def test_semianalytic_rem_triple_identity():
 
 def test_semianalytic_third_moment_against_independent_assembly():
     # same grid, independently assembled from the verified triple census and
-    # the conditional-CDF probability oracle
+    # the conditional-CDF probability oracle. At m = 2.5 the window [-3, -1)
+    # contains -a_n/b_n, so it overlaps its own reflection under H -> -H,
+    # which is where an antipodal NPP pair (nu(-1) = -1) confines its energy
     from remlab.combinatorics import brute_force_triple_census
 
     n, m = 6, 2.5
-    spec = ModelSpec.sk()
     norm = Normalization(m)
-    lo, hi = norm.a_n, norm.a_n + norm.b_n
-    total = 0.0
-    for (r12, r23, r31), cnt in brute_force_triple_census(n).items():
-        if max(r12, r23, r31) >= 1 - 1e-12:
-            continue  # coincident pair: not a distinct triple
-        b = np.array([
-            [1.0, r12**2, r31**2],
-            [r12**2, 1.0, r23**2],
-            [r31**2, r23**2, 1.0],
-        ])
-        if np.linalg.det(b) < 1e-10:
-            # antipodal pair: the two energies coincide under nu(r) = r^2
-            bik = r31**2 if abs(r12) >= 1 - 1e-12 else r12**2
-            cov2 = np.array([[1.0, bik], [bik, 1.0]])
-            val = _oracle_conditional(cov2, lo, hi)
-        else:
-            val = _oracle_conditional(b, lo, hi)
-        total += cnt * 2.0 ** (3 * (m - n)) * val
-    engine = semianalytic_third_moment(spec, n, m, W01)
-    assert engine == pytest.approx(total, rel=1e-10)
+    census = brute_force_triple_census(n)
+    for spec in (ModelSpec.sk(), ModelSpec.npp()):
+        for x_window in ((0.0, 1.0), (-3.0, -1.0)):
+            lo, hi = (norm.a_n + norm.b_n * x for x in x_window)
+            total = 0.0
+            for (r12, r23, r31), cnt in census.items():
+                if max(r12, r23, r31) >= 1 - 1e-12:
+                    continue  # coincident pair: not a distinct triple
+                if min(r12, r23, r31) <= -1 + 1e-12:
+                    # antipodal pair: its second energy is nu(-1) times the
+                    # first, so one endpoint stays, on A or on A and -A
+                    r_s = next(r for r in (r12, r23, r31) if r > -1 + 1e-12)
+                    lead = (lo, hi) if spec.nu(-1.0) > 0 else (max(lo, -hi), min(hi, -lo))
+                    if lead[0] >= lead[1]:
+                        continue
+                    b = float(spec.nu(r_s))
+                    cov2 = np.array([[1.0, b], [b, 1.0]])
+                    val = _oracle_conditional(cov2, lo, hi, lead=lead)
+                else:
+                    b12, b23, b31 = (float(spec.nu(r)) for r in (r12, r23, r31))
+                    cov = np.array([[1.0, b12, b31], [b12, 1.0, b23], [b31, b23, 1.0]])
+                    val = _oracle_conditional(cov, lo, hi)
+                total += cnt * 2.0 ** (3 * (m - n)) * val
+            engine = semianalytic_third_moment(spec, n, m, BorelWindow.single(*x_window))
+            assert engine == pytest.approx(total, rel=1e-10), (spec.tag, x_window)
 
 
 def test_semianalytic_fixed_m_convergence_scan():
