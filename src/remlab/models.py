@@ -100,7 +100,8 @@ class ModelSpec:
                 )
         # nu is a sum of a_p^2 r^p, hence nondecreasing on [0,1] with
         # nu(0)=0, nu(1)=1; spot-check the normalization anyway.
-        assert abs(self.nu(1.0) - 1.0) < 1e-9 and abs(self.nu(0.0)) < 1e-15
+        if not (abs(self.nu(1.0) - 1.0) < 1e-9 and abs(self.nu(0.0)) < 1e-15):
+            raise UsageError("mixture must give nu(1) = 1 and nu(0) = 0")
 
     @classmethod
     def rem(cls) -> "ModelSpec":

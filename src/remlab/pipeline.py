@@ -1,13 +1,18 @@
 """Deterministic replica machinery shared by the CLI commands and experiments.
 
 Every replica r derives its own generator from (seed, namespace, r), so
-results are independent of block decomposition and worker count; blocks have
-a fixed size and are merged in replica order.
+results are independent of block decomposition and worker count. Replicas
+run in blocks of ``BLOCK_SIZE``; each block is drawn and reduced by a
+per-block reducer (window counts and in-window values, or Gibbs power sums)
+on the same worker thread, so energies never outlive their block. A threaded
+run keeps at most threads + 1 blocks in flight, and the calling thread merges
+the reduced blocks in replica order.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,76 +41,93 @@ def experiment_cloud(n: int, m: float, seed: int, mode: str = "auto") -> Cloud:
 
 def _quenched_block(spec: ModelSpec, cloud: Cloud, sampler: str,
                     chol: CholeskySampler | None, seed: int, replicas: range) -> np.ndarray:
-    """Energies for one block, shape (|X|, len(replicas)), column per replica."""
-    k = len(cloud)
-    if sampler == "cholesky":
-        z = np.empty((k, len(replicas)))
-        for j, r in enumerate(replicas):
-            z[:, j] = derive_rng(seed, NS_REPLICA, r).standard_normal(k)
-        return chol.sample_block(z)
-    out = np.empty((k, len(replicas)))
-    if spec.is_rem:
-        for j, r in enumerate(replicas):
-            out[:, j] = derive_rng(seed, NS_REPLICA, r).standard_normal(k)
-    else:
-        for j, r in enumerate(replicas):
-            rng = derive_rng(seed, NS_REPLICA, r)
-            out[:, j] = sample_explicit(spec, cloud, rng, replica_id=r).values
-    return out
+    """Energies for one block, shape (|X|, len(replicas)), column per replica.
+
+    Each replica is drawn into a row of a C-contiguous (B, |X|) buffer; the
+    block is that buffer's transpose (mapped through the factor on the
+    Cholesky route).
+    """
+    rows = np.empty((len(replicas), len(cloud)))
+    for row, r in zip(rows, replicas):
+        rng = derive_rng(seed, NS_REPLICA, r)
+        if sampler == "cholesky" or spec.is_rem:
+            rng.standard_normal(out=row)
+        else:
+            row[:] = sample_explicit(spec, cloud, rng, replica_id=r).values
+    return chol.sample_block(rows.T) if sampler == "cholesky" else rows.T
+
+
+def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -> list:
+    """Per-replica energy vectors for one block; every replica draws its own cloud."""
+    # Re-sampling a cloud per replica cannot afford the full 2^n scan;
+    # beyond n = 16 the Poisson-size draw is indistinguishable at Monte
+    # Carlo precision (total-variation error below 2^-16). Dense clouds
+    # (m > n/2) stay exact: the distinct-string draw cannot fill them.
+    sparse = cloud.n > 16 and cloud.m <= cloud.n / 2
+    cloud_mode = "large_n" if sparse else "exact"
+    cols = []
+    for r in replicas:
+        rng_c = derive_rng(seed, NS_CLOUD, r + 1)
+        rep_cloud = sample_cloud(cloud.n, cloud.m, rng_c, mode=cloud_mode)
+        rng_e = derive_rng(seed, NS_REPLICA, r)
+        if pick_sampler(spec, rep_cloud) == "explicit":
+            cols.append(sample_explicit(spec, rep_cloud, rng_e, r).values)
+        else:
+            cols.append(CholeskySampler(spec, rep_cloud).sample(rng_e, r).values)
+    return cols
+
+
+def _map_in_order(work, blocks: list, threads: int):
+    """Yield work(block) for each block in order, with at most threads + 1 in flight."""
+    if threads == 1:
+        yield from map(work, blocks)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        try:
+            for block in blocks:
+                if len(pending) > threads:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(work, block))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _iter_blocks(spec: ModelSpec, cloud: Cloud, seed: int, replicas: int,
-                 mode: str, threads: int, progress: bool):
-    """Yield (start_index, columns) blocks in replica order.
+                 mode: str, threads: int, progress: bool, reduce):
+    """Yield (start_index, reduce(block)) for each block, in replica order.
 
-    Quenched blocks are (|X|, B) matrices; annealed blocks are lists of
-    per-replica vectors (cloud sizes differ between replicas).
+    A quenched block is an (|X|, B) matrix, an annealed block a list of B
+    per-replica vectors (cloud sizes differ between replicas). The block is
+    reduced on the thread that drew it, so only the reduced result reaches
+    the caller. Quenched runs with threads > 1 keep at most threads + 1
+    blocks in flight; annealed runs draw their blocks on the calling thread.
     """
     if replicas < 1:
         raise UsageError("need at least one replica")
     if mode not in ("quenched", "annealed"):
         raise UsageError(f"unknown disorder mode {mode!r}")
-
-    if mode == "annealed":
-        # Re-sampling a cloud per replica cannot afford the full 2^n scan;
-        # beyond n = 16 the Poisson-size draw is indistinguishable at Monte
-        # Carlo precision (total-variation error below 2^-16). Dense clouds
-        # (m > n/2) stay exact: the distinct-string draw cannot fill them.
-        sparse = cloud.n > 16 and cloud.m <= cloud.n / 2
-        cloud_mode = "large_n" if sparse else "exact"
-        for start in range(0, replicas, BLOCK_SIZE):
-            cols = []
-            for r in range(start, min(start + BLOCK_SIZE, replicas)):
-                rng_c = derive_rng(seed, NS_CLOUD, r + 1)
-                rep_cloud = sample_cloud(cloud.n, cloud.m, rng_c, mode=cloud_mode)
-                rng_e = derive_rng(seed, NS_REPLICA, r)
-                if pick_sampler(spec, rep_cloud) == "explicit":
-                    cols.append(sample_explicit(spec, rep_cloud, rng_e, r).values)
-                else:
-                    cols.append(CholeskySampler(spec, rep_cloud).sample(rng_e, r).values)
-            if progress:
-                print(f"replicas {min(start + BLOCK_SIZE, replicas)}/{replicas}",
-                      file=sys.stderr)
-            yield start, cols
-        return
-
-    sampler = pick_sampler(spec, cloud)
-    chol = CholeskySampler(spec, cloud) if sampler == "cholesky" else None
     blocks = [range(s, min(s + BLOCK_SIZE, replicas))
               for s in range(0, replicas, BLOCK_SIZE)]
 
-    def work(block: range):
-        return block.start, _quenched_block(spec, cloud, sampler, chol, seed, block)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = sorted(pool.map(work, blocks), key=lambda t: t[0])
+    if mode == "annealed":
+        def work(block: range):
+            return reduce(_annealed_block(spec, cloud, seed, block))
+        threads = 1
     else:
-        results = map(work, blocks)
-    for start, energies in results:
+        sampler = pick_sampler(spec, cloud)
+        chol = CholeskySampler(spec, cloud) if sampler == "cholesky" else None
+
+        def work(block: range):
+            return reduce(_quenched_block(spec, cloud, sampler, chol, seed, block))
+
+    for reduced, block in zip(_map_in_order(work, blocks, threads), blocks):
         if progress:
-            print(f"replicas {start + energies.shape[1]}/{replicas}", file=sys.stderr)
-        yield start, energies
+            print(f"replicas {block.stop}/{replicas}", file=sys.stderr)
+        yield block.start, reduced
 
 
 def count_replicas(
@@ -126,24 +148,39 @@ def count_replicas(
     (replicas, len(windows)); pooled is a list of 1-D arrays per window
     (empty arrays when collect_values is false).
     """
-    counts = np.zeros((replicas, len(windows)), dtype=np.int64)
-    pooled: list[list] = [[] for _ in windows]
-    for start, block in _iter_blocks(spec, cloud, seed, replicas, mode, threads, progress):
+
+    def reduce(block):
+        """(B, W) counts and, when collecting, each window's in-window values."""
         if isinstance(block, np.ndarray):
-            hp = (block - norm.a_n) / norm.b_n
+            # the block was drawn for this reduction alone: normalize in place
+            hp = np.subtract(block, norm.a_n, out=block)
+            hp /= norm.b_n
+            counts = np.empty((hp.shape[1], len(windows)), dtype=np.int64)
+            values = []
             for wi, window in enumerate(windows):
                 mask = window.mask(hp)
-                counts[start : start + hp.shape[1], wi] = mask.sum(axis=0)
+                counts[:, wi] = mask.sum(axis=0)
                 if collect_values:
-                    pooled[wi].append(hp.T[mask.T])
-        else:
-            for j, col in enumerate(block):
-                hp = (col - norm.a_n) / norm.b_n
-                for wi, window in enumerate(windows):
-                    mask = window.mask(hp)
-                    counts[start + j, wi] = mask.sum()
-                    if collect_values:
-                        pooled[wi].append(hp[mask])
+                    values.append(hp.T[mask.T])
+            return counts, values
+        counts = np.empty((len(block), len(windows)), dtype=np.int64)
+        parts: list[list] = [[] for _ in windows]
+        for j, col in enumerate(block):
+            hp = (col - norm.a_n) / norm.b_n
+            for wi, window in enumerate(windows):
+                mask = window.mask(hp)
+                counts[j, wi] = mask.sum()
+                if collect_values:
+                    parts[wi].append(hp[mask])
+        return counts, [np.concatenate(p) for p in parts] if collect_values else []
+
+    counts = np.zeros((replicas, len(windows)), dtype=np.int64)
+    pooled: list[list] = [[] for _ in windows]
+    for start, (block_counts, values) in _iter_blocks(
+            spec, cloud, seed, replicas, mode, threads, progress, reduce):
+        counts[start : start + len(block_counts)] = block_counts
+        for parts, part in zip(pooled, values):
+            parts.append(part)
     merged = [
         np.concatenate(parts) if parts else np.empty(0) for parts in pooled
     ]
@@ -162,9 +199,11 @@ def gibbs_power_sums(
     threads: int = 1,
 ) -> np.ndarray:
     """Per-replica sums of Gibbs-weight powers, shape (replicas, len(powers))."""
-    out = np.zeros((replicas, len(powers)))
-    for start, block in _iter_blocks(spec, cloud, seed, replicas, mode, threads, False):
+
+    def reduce(block):
+        """(B, P) power sums, one column of energies at a time."""
         cols = block.T if isinstance(block, np.ndarray) else block
+        sums = np.empty((len(cols), len(powers)))
         for j, col in enumerate(cols):
             hp = (col - norm.a_n) / norm.b_n
             z = -beta * hp
@@ -172,5 +211,11 @@ def gibbs_power_sums(
             w = np.exp(z)
             w /= w.sum()
             for pi, k in enumerate(powers):
-                out[start + j, pi] = np.sum(w**k)
+                sums[j, pi] = np.sum(w**k)
+        return sums
+
+    out = np.zeros((replicas, len(powers)))
+    for start, sums in _iter_blocks(spec, cloud, seed, replicas, mode, threads, False,
+                                    reduce):
+        out[start : start + len(sums)] = sums
     return out

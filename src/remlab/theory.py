@@ -145,16 +145,24 @@ def _log_pair_probs(b, norm: Normalization, win1, win2,
             + bn * bn * bc / (1.0 - bc * bc) * cross[None, :]
             - a * bn / (1.0 + bc) * lin[None, :]
         )
-        integral = np.exp(expo) @ ww
-        bflat = bc[:, 0]
+        with np.errstate(over="ignore"):
+            integral = np.exp(expo) @ ww
         with np.errstate(divide="ignore"):  # integral underflow -> -inf term
-            regular[start : start + chunk] = (
-                2.0 * math.log(bn)
-                - math.log(2.0 * math.pi)
-                - 0.5 * np.log1p(-bflat * bflat)
-                - a * a / (1.0 + bflat)
-                + np.log(integral)
-            )
+            log_integral = np.log(integral)
+        overflow = ~np.isfinite(integral)
+        if overflow.any():
+            # b near -1 on a window below the mean: the exponent alone
+            # overflows, so shift those rows by their own maximum
+            shift = expo[overflow].max(axis=1, keepdims=True)
+            log_integral[overflow] = shift[:, 0] + np.log(np.exp(expo[overflow] - shift) @ ww)
+        bflat = bc[:, 0]
+        regular[start : start + chunk] = (
+            2.0 * math.log(bn)
+            - math.log(2.0 * math.pi)
+            - 0.5 * np.log1p(-bflat * bflat)
+            - a * a / (1.0 + bflat)
+            + log_integral
+        )
     out[~degenerate] = regular
     return out
 
@@ -254,8 +262,10 @@ def _log_triple_probs(b12, b23, b31, norm: Normalization, window: BorelWindow,
 
 
 def _sum_exp(log_terms: np.ndarray) -> float:
-    """exp(logsumexp) over the finite terms; 0 when every term underflowed."""
-    finite = log_terms[np.isfinite(log_terms)]
+    """exp(logsumexp) over the terms; -inf terms (underflow) contribute 0."""
+    if np.any(np.isnan(log_terms) | (log_terms == math.inf)):
+        raise NumericalError("a moment term evaluated to +inf or NaN")
+    finite = log_terms[log_terms > -math.inf]
     return math.exp(float(logsumexp(finite))) if len(finite) else 0.0
 
 
@@ -449,6 +459,8 @@ def limit_constant(model: str, scaling: str, eps: float, ell: int,
             value = math.exp(-4.0 * c4 * e2l2)
         else:
             value = math.exp(-24.0 * c4 * e2l2) / math.sqrt(1.0 - 4.0 * eps * LOG2)
-    if ell == 2:
-        assert value >= 1.0 - 1e-12
+    if ell == 2 and value < 1.0 - 1e-12:
+        # only c4 > 1/12 (excess kurtosis below -2) gets here, which no
+        # unit-variance law has
+        raise UsageError(f"c4={c4} gives a second-moment limit constant {value} below 1")
     return LimitPrediction(model=model, scaling=scaling, eps=eps, ell=ell, value=value)

@@ -57,6 +57,18 @@ SCENARIOS = {
         ["gibbs", "--seed", "5"] + _ov(model="rem", n=16, m=8, beta=2.0, replicas=500),
         "0bbdead0280d15848df6505352eefb54c3306ccdd7b90dcce8e4f29d0c764c09",
     ),
+    # more replicas than one block (2048), so the threaded merge crosses
+    # block boundaries
+    "simulate-sk-quenched-threaded-blocks": (
+        ["simulate", "--seed", "7", "--threads", "2"]
+        + _ov(model="sk", n=200, m=6, replicas=5000),
+        "e13426187f434cd06b24ea156ef1ff645abe10b2ead6a61574e2dd6c5c931442",
+    ),
+    "gibbs-rem-threaded-blocks": (
+        ["gibbs", "--seed", "5", "--threads", "2"]
+        + _ov(model="rem", n=16, m=8, beta=2.0, replicas=4500),
+        "1ddf630566dbedf2266c1ce85bb15fd78384c04e9c737dba226f1b41cf4750ca",
+    ),
 }
 
 

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import ndtr, roots_legendre
+from scipy.special import log_ndtr, logsumexp, ndtr, roots_legendre
 
 from remlab.core import LOG2
 from remlab.errors import NumericalError, UsageError
@@ -12,6 +13,8 @@ from remlab.pointproc import SQRT_2LOG2, BorelWindow, CountVector, Normalization
 from remlab.pipeline import count_replicas, experiment_cloud
 from remlab.theory import (
     SK_EPS_MAX,
+    _log_pair_probs,
+    _sum_exp,
     gaussian_joint_window_prob,
     intensity_mu,
     limit_constant,
@@ -335,6 +338,48 @@ def test_limit_ratio_always_at_least_one():
     for eps in (0.0, 0.5, 1.0, 2.0):
         for c4 in (0.0, 0.05, -0.125):
             assert limit_constant("npp", "sqrt", eps, 2, c4=c4).value >= 1.0 - 1e-12
+
+
+def test_limit_constant_rejects_impossible_c4():
+    with pytest.raises(UsageError):
+        limit_constant("npp", "sqrt", 1.0, 2, c4=0.1)
+
+
+def _log_oracle_pair(norm, b, lo, hi, nodes=400):
+    """log P(both normalized energies in [lo, hi)) at correlation b, by a
+    Gauss-Legendre rule over the first energy and log_ndtr for the second."""
+    low, up = norm.a_n + norm.b_n * lo, norm.a_n + norm.b_n * hi
+    x, wt = roots_legendre(nodes)
+    x = low + (up - low) * (x + 1) / 2
+    wt = wt * (up - low) / 2
+    s = math.sqrt(1.0 - b * b)
+    tail_lo, tail_hi = log_ndtr((b * x - low) / s), log_ndtr((b * x - up) / s)
+    terms = (np.log(wt) - 0.5 * x * x - 0.5 * math.log(2 * math.pi)
+             + tail_lo + np.log1p(-np.exp(tail_hi - tail_lo)))
+    return float(logsumexp(terms))
+
+
+def test_pair_kernel_survives_exponent_overflow():
+    # NPP overlaps near -1 on a window below the mean: exp() of the raw
+    # exponent overflows, which used to drop the +inf pair term silently
+    norm = Normalization(9.0)
+    window = BorelWindow.single(-3.0, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n in (300, 1000):
+            assert math.isfinite(semianalytic_moment(ModelSpec.npp(), n, 9.0, window, 2))
+        b = -298.0 / 300.0
+        logp = _log_pair_probs(np.array([b]), norm, window.intervals, window.intervals)[0]
+    assert logp == pytest.approx(_log_oracle_pair(norm, b, -3.0, -1.0), rel=1e-12)
+    assert logp == pytest.approx(-670.27, abs=0.01)
+
+
+def test_sum_exp_drops_only_underflow():
+    assert _sum_exp(np.array([-math.inf, 0.0])) == 1.0
+    assert _sum_exp(np.array([-math.inf])) == 0.0
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NumericalError):
+            _sum_exp(np.array([0.0, bad]))
 
 
 def test_log_marginal_matches_marginal():
