@@ -28,8 +28,6 @@ from .models import (
     ModelSpec,
     coupling_c4,
     estimate_c4_empirical,
-    sample_cholesky,
-    sample_energies,
     sample_explicit,
 )
 from .pointproc import (

@@ -91,13 +91,9 @@ class ExperimentConfig:
             if self.coupling != "gaussian":
                 raise UsageError("the rem model is Gaussian by definition")
             return ModelSpec(mixture=None, sampler_hint=self.sampler)
-        if self.model == "npp":
-            return ModelSpec(mixture=((1, 1.0),), coupling=coupling, sampler_hint=self.sampler)
-        if self.model == "sk":
-            return ModelSpec(mixture=((2, 1.0),), coupling=coupling, sampler_hint=self.sampler)
-        if self.model == "pspin":
-            return ModelSpec(mixture=((int(self.p), 1.0),), coupling=coupling,
-                             sampler_hint=self.sampler)
+        if self.model in ("npp", "sk", "pspin"):
+            p = {"npp": 1, "sk": 2}.get(self.model) or int(self.p)
+            return ModelSpec.pure(p, self.coupling, self.sampler)
         if self.model == "mixture":
             if not self.mixture:
                 raise UsageError("model = mixture requires a mixture table")
@@ -501,7 +497,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, help="64-bit experiment seed")
-    parser.add_argument("--threads", type=int, help="worker threads for replica blocks")
+    parser.add_argument("--threads", type=int,
+                        help="worker threads for quenched replica blocks (annealed runs use one)")
     parser.add_argument("--out", help="output path for NDJSON records (default stdout)")
     parser.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config field (repeatable)")

@@ -1,9 +1,9 @@
 """Bit-level spin configurations, overlap arithmetic, and random-cloud sampling.
 
-Configurations live on the hypercube {-1,+1}^n and are stored bit-packed in a
-Python integer (bit i set means spin i is +1), so Hamming distances reduce to
-``(a ^ b).bit_count()`` and overlaps are exact rationals k/n realized in
-floating point.
+A configuration on the hypercube {-1,+1}^n is a ``SpinConfig``, bit-packed in
+a Python integer (bit i set means spin i is +1), so Hamming distances reduce
+to ``(a ^ b).bit_count()`` and overlaps are exact rationals k/n realized in
+floating point. A ``Cloud`` packs its members' bits into one sorted uint8 array.
 """
 
 from __future__ import annotations
@@ -40,11 +40,8 @@ class SpinConfig:
     @classmethod
     def from_signs(cls, signs) -> "SpinConfig":
         signs = np.asarray(signs)
-        bits = 0
-        for i, s in enumerate(signs):
-            if s > 0:
-                bits |= 1 << i
-        return cls(n=len(signs), bits=bits)
+        raw = np.packbits(signs > 0, bitorder="little").tobytes()
+        return cls(n=len(signs), bits=int.from_bytes(raw, "little"))
 
     def to_signs(self) -> np.ndarray:
         """Return the configuration as an int8 vector of +-1."""
@@ -92,47 +89,73 @@ class OverlapGrid:
         return ki
 
 
-@dataclass(frozen=True)
 class Cloud:
-    """A sorted set of distinct configurations with target mean size 2^m."""
+    """A sorted set of distinct configurations with target mean size 2^m.
 
-    n: int
-    m: float
-    members: tuple
+    ``packed`` is a read-only (|X|, ceil(n/8)) uint8 array: one little-endian row
+    of bits per member, sorted by integer value. ``members`` is such an array or
+    a sequence of SpinConfig.
+    """
 
-    def __post_init__(self) -> None:
-        if any(cfg.n != self.n for cfg in self.members):
-            raise UsageError("all cloud members must share the cloud dimension")
-        bits = [cfg.bits for cfg in self.members]
-        if len(set(bits)) != len(bits):
-            raise UsageError("cloud members must be distinct")
-        if any(b2 <= b1 for b1, b2 in zip(bits, bits[1:])):
-            raise UsageError("cloud members must be sorted by bit pattern")
+    def __init__(self, n: int, m: float, members) -> None:
+        nbytes = (n + 7) // 8
+        if not isinstance(members, np.ndarray):
+            if any(cfg.n != n for cfg in members):
+                raise UsageError("all cloud members must share the cloud dimension")
+            raw = b"".join(cfg.bits.to_bytes(nbytes, "little") for cfg in members)
+            members = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
+        if (members.dtype != np.uint8 or members.shape[1:] != (nbytes,)
+                or np.any(members[:, -1] >> (n % 8 or 8))):
+            raise UsageError(f"cloud rows must be (|X|, {nbytes}) uint8 with no bit at or past n")
+        if not np.array_equal(_sorted_distinct(members), members):
+            raise UsageError("cloud members must be distinct and sorted by bit pattern")
+        self.n, self.m, self.packed = n, m, members.copy()
+        self.packed.flags.writeable = False
+
+    @classmethod
+    def _of_sorted_rows(cls, n: int, m: float, packed: np.ndarray) -> "Cloud":
+        """Wrap sampler output, sorted, distinct and n bits wide by construction."""
+        cloud = cls.__new__(cls)
+        cloud.n, cloud.m, cloud.packed = n, m, packed
+        packed.flags.writeable = False
+        return cloud
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.packed)
+
+    @property
+    def members(self) -> tuple:
+        """The members as SpinConfig objects, built on each access."""
+        return tuple(SpinConfig(n=self.n, bits=int.from_bytes(row.tobytes(), "little"))
+                     for row in self.packed)
 
     @classmethod
     def from_bits(cls, n: int, bits, m: float | None = None) -> "Cloud":
         members = tuple(SpinConfig(n=n, bits=int(b)) for b in sorted(set(bits)))
-        if m is None:
-            m = math.log2(max(len(members), 1))
+        m = math.log2(max(len(members), 1)) if m is None else m
         return cls(n=n, m=float(m), members=members)
 
     @cached_property
     def sign_matrix(self) -> np.ndarray:
         """(|X|, n) float64 matrix of +-1 spins, one row per member."""
-        nbytes = (self.n + 7) // 8
-        raw = np.empty((len(self.members), nbytes), dtype=np.uint8)
-        for i, cfg in enumerate(self.members):
-            raw[i] = np.frombuffer(cfg.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, axis=1, bitorder="little", count=self.n)
+        bits = np.unpackbits(self.packed, axis=1, bitorder="little", count=self.n)
         return 2.0 * bits.astype(np.float64) - 1.0
 
     def overlap_matrix(self) -> np.ndarray:
         """All pairwise overlaps via one Gram product (exact: integer sums)."""
         s = self.sign_matrix
         return (s @ s.T) / self.n
+
+
+def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct little-endian rows in ascending integer order.
+
+    Reversed, a row is a big-endian byte string, and ``np.unique`` orders
+    those opaque strings bytewise, which is the integer order at any width.
+    """
+    nbytes = rows.shape[1]
+    keys = np.unique(np.ascontiguousarray(rows[:, ::-1]).view(np.dtype((np.void, nbytes))))
+    return np.ascontiguousarray(keys.view(np.uint8).reshape(-1, nbytes)[:, ::-1])
 
 
 def delta_n(n: int, m: float) -> float:
@@ -146,45 +169,40 @@ def delta_n(n: int, m: float) -> float:
     return min(1.0, raw)
 
 
-def _sample_exact(n: int, p: float, rng: np.random.Generator) -> list:
-    kept: list[int] = []
+def _sample_exact(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     total = 1 << n
-    for start in range(0, total, _SCAN_CHUNK):
-        size = min(_SCAN_CHUNK, total - start)
-        u = rng.random(size)
-        kept.extend((start + np.nonzero(u < p)[0]).tolist())
-    return kept
+    sites = [start + np.flatnonzero(rng.random(min(_SCAN_CHUNK, total - start)) < p)
+             for start in range(0, total, _SCAN_CHUNK)]
+    # the sites ascend, so their little-endian bytes are already sorted rows
+    raw = np.concatenate(sites).astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.ascontiguousarray(raw[:, : (n + 7) // 8])
 
 
-def _sample_large_n(n: int, m: float, rng: np.random.Generator) -> list:
+def _sample_large_n(n: int, m: float, rng: np.random.Generator) -> np.ndarray:
     target = int(rng.poisson(2.0**m))
+    if target > 1 << n:  # only reachable at tiny n, where it would loop forever
+        raise UsageError(f"large_n drew {target} distinct strings at n={n}; use exact mode")
     nbytes = (n + 7) // 8
     tail_mask = 0xFF if n % 8 == 0 else (1 << (n % 8)) - 1
-    seen: set[int] = set()
+    rows = np.empty((0, nbytes), dtype=np.uint8)
     # Expected duplicate count is ~K^2/2^n < 1 for every supported (n, m),
     # so a top-up loop runs at most a couple of times.
-    while len(seen) < target:
-        need = target - len(seen)
-        raw = rng.integers(0, 256, size=(need, nbytes), dtype=np.uint8)
+    while len(rows) < target:
+        raw = rng.integers(0, 256, size=(target - len(rows), nbytes), dtype=np.uint8)
         raw[:, -1] &= tail_mask
-        for row in raw:
-            seen.add(int.from_bytes(row.tobytes(), "little"))
-    return sorted(seen)
+        rows = _sorted_distinct(np.concatenate([rows, raw]))
+    return rows
 
 
-def sample_cloud(
-    n: int,
-    m: float,
-    rng: np.random.Generator,
-    mode: str = "auto",
-) -> Cloud:
+def sample_cloud(n: int, m: float, rng: np.random.Generator, mode: str = "auto") -> Cloud:
     """Sample a Bernoulli site-percolation subset with inclusion p = 2^(m-n).
 
     ``exact`` scans all 2^n sites (n <= 24); ``large_n`` draws a Poisson(2^m)
-    number of distinct uniform bitstrings, which is within total-variation
-    2^(-n/2) of the exact law once n > 30 and m <= n/2. ``large_n`` refuses
-    m > n/2: a dense cloud turns its distinct-string loop into a coupon
-    collector, which never ends once the Poisson target exceeds 2^n.
+    number of distinct uniform bitstrings. Both are uniform given their size,
+    so they differ in total variation by d_TV(Bin(2^n, 2^(m-n)), Poi(2^m)) <=
+    2^(m-n), at most 2^(-n/2) for m <= n/2 at any n (Barbour and Hall 1984).
+    ``large_n`` refuses m > n/2: a dense cloud turns its distinct-string loop
+    into a coupon collector, which never ends once the Poisson target exceeds 2^n.
     """
     if m > n:
         raise UsageError(f"need 2^m <= 2^n, got m={m} > n={n}")
@@ -202,12 +220,11 @@ def sample_cloud(
 
     for attempt in range(2):
         if mode == "exact":
-            bits = _sample_exact(n, 2.0 ** (m - n), rng)
+            packed = _sample_exact(n, 2.0 ** (m - n), rng)
         else:
-            bits = _sample_large_n(n, m, rng)
-        if len(bits) >= 2:
-            members = tuple(SpinConfig(n=n, bits=b) for b in bits)
-            return Cloud(n=n, m=m, members=members)
+            packed = _sample_large_n(n, m, rng)
+        if len(packed) >= 2:
+            return Cloud._of_sorted_rows(n, m, packed)
     raise UsageError(
         f"cloud with n={n}, m={m} came back with fewer than 2 members after a resample; "
         "experiments need |X| >= 2, increase m"

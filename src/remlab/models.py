@@ -230,11 +230,6 @@ def _factor_with_jitter(kernel: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_cholesky(spec: ModelSpec, cloud: Cloud, rng: np.random.Generator,
-                    replica_id: int = 0) -> EnergySample:
-    return CholeskySampler(spec, cloud).sample(rng, replica_id)
-
-
 def pick_sampler(spec: ModelSpec, cloud: Cloud) -> str:
     """Resolve the auto hint: explicit for non-Gaussian or oversized clouds."""
     if spec.sampler_hint != "auto":
@@ -245,13 +240,6 @@ def pick_sampler(spec: ModelSpec, cloud: Cloud) -> str:
     if single_small_p and (spec.coupling.kind != "gaussian" or len(cloud) > _CHOLESKY_MAX_SIZE):
         return "explicit"
     return "cholesky"
-
-
-def sample_energies(spec: ModelSpec, cloud: Cloud, rng: np.random.Generator,
-                    replica_id: int = 0) -> EnergySample:
-    if pick_sampler(spec, cloud) == "explicit":
-        return sample_explicit(spec, cloud, rng, replica_id)
-    return sample_cholesky(spec, cloud, rng, replica_id)
 
 
 @dataclass(frozen=True)

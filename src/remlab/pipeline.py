@@ -59,12 +59,11 @@ def _quenched_block(spec: ModelSpec, cloud: Cloud, sampler: str,
 
 def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -> list:
     """Per-replica energy vectors for one block; every replica draws its own cloud."""
-    # Re-sampling a cloud per replica cannot afford the full 2^n scan;
-    # beyond n = 16 the Poisson-size draw is indistinguishable at Monte
-    # Carlo precision (total-variation error below 2^-16). Dense clouds
-    # (m > n/2) stay exact: the distinct-string draw cannot fill them.
-    sparse = cloud.n > 16 and cloud.m <= cloud.n / 2
-    cloud_mode = "large_n" if sparse else "exact"
+    # Beyond n = 16 the full 2^n scan per replica is too slow; the Poisson-size
+    # draw is within total variation 2^(m-n) <= 2^(-n/2) of it (see
+    # sample_cloud). Dense clouds (m > n/2) stay exact: the distinct-string
+    # draw cannot fill them.
+    cloud_mode = "large_n" if cloud.n > 16 and cloud.m <= cloud.n / 2 else "exact"
     cols = []
     for r in replicas:
         rng_c = derive_rng(seed, NS_CLOUD, r + 1)
@@ -104,7 +103,8 @@ def _iter_blocks(spec: ModelSpec, cloud: Cloud, seed: int, replicas: int,
     per-replica vectors (cloud sizes differ between replicas). The block is
     reduced on the thread that drew it, so only the reduced result reaches
     the caller. Quenched runs with threads > 1 keep at most threads + 1
-    blocks in flight; annealed runs draw their blocks on the calling thread.
+    blocks in flight. Annealed runs use the calling thread only: their small
+    per-replica numpy calls hold the interpreter lock, and two threads ran slower.
     """
     if replicas < 1:
         raise UsageError("need at least one replica")
@@ -163,16 +163,16 @@ def count_replicas(
                 if collect_values:
                     values.append(hp.T[mask.T])
             return counts, values
+        hp = (np.concatenate(block) - norm.a_n) / norm.b_n
+        starts = np.cumsum([0] + [len(col) for col in block[:-1]])  # |X| >= 2: no empty segment
         counts = np.empty((len(block), len(windows)), dtype=np.int64)
-        parts: list[list] = [[] for _ in windows]
-        for j, col in enumerate(block):
-            hp = (col - norm.a_n) / norm.b_n
-            for wi, window in enumerate(windows):
-                mask = window.mask(hp)
-                counts[j, wi] = mask.sum()
-                if collect_values:
-                    parts[wi].append(hp[mask])
-        return counts, [np.concatenate(p) for p in parts] if collect_values else []
+        values = []
+        for wi, window in enumerate(windows):
+            mask = window.mask(hp)
+            counts[:, wi] = np.add.reduceat(mask, starts, dtype=np.int64)
+            if collect_values:
+                values.append(hp[mask])
+        return counts, values
 
     counts = np.zeros((replicas, len(windows)), dtype=np.int64)
     pooled: list[list] = [[] for _ in windows]

@@ -69,6 +69,24 @@ SCENARIOS = {
         + _ov(model="rem", n=16, m=8, beta=2.0, replicas=4500),
         "1ddf630566dbedf2266c1ce85bb15fd78384c04e9c737dba226f1b41cf4750ca",
     ),
+    # annealed clouds by the distinct-string draw (n > 16, m <= n/2) with n
+    # not a multiple of 8, over more than one block
+    "simulate-sk-annealed-large-n-blocks": (
+        ["simulate", "--seed", "13"]
+        + _ov(model="sk", n=20, m=5, replicas=2500, mode="annealed"),
+        "b3cb8bf1537fc3723649fdb36fba8eeca7ba7a22d8ed43eb6d01f0c07fdfc01c",
+    ),
+    # annealed clouds by the full scan, because m > n/2
+    "simulate-npp-annealed-dense-exact": (
+        ["simulate", "--seed", "17"]
+        + _ov(model="npp", n=12, m=7, replicas=600, mode="annealed"),
+        "b0b3fdcb65fdd4e14d38db986bc2188cb748acb7170bca52dd443f37f881b015",
+    ),
+    # members wider than one 64-bit word: the sort order spans byte columns
+    "simulate-sk-quenched-multiword": (
+        ["simulate", "--seed", "19"] + _ov(model="sk", n=70, m=6, replicas=600),
+        "cdb77893ac2dfd55fb9c0c60c392915fc739a0dca962951fd7ed6b2fd9f2bd20",
+    ),
 }
 
 

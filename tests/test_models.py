@@ -14,8 +14,6 @@ from remlab.models import (
     coupling_c4,
     estimate_c4_empirical,
     pick_sampler,
-    sample_cholesky,
-    sample_energies,
     sample_explicit,
 )
 
@@ -216,15 +214,20 @@ def test_explicit_rejects_high_p_and_cholesky_rejects_nongaussian():
     with pytest.raises(UsageError):
         sample_explicit(ModelSpec.pure(3), cloud, np.random.default_rng(0))
     with pytest.raises(UsageError):
-        sample_cholesky(ModelSpec.npp(coupling="laplace"), cloud, np.random.default_rng(0))
+        CholeskySampler(ModelSpec.npp(coupling="laplace"), cloud)
+
+
+def _sample_energies(spec, cloud, rng):
+    if pick_sampler(spec, cloud) == "explicit":
+        return sample_explicit(spec, cloud, rng).values
+    return CholeskySampler(spec, cloud).sample(rng).values
 
 
 def test_determinism_identical_bytes():
     cloud = two_config_cloud(16, 5)
     for spec in (ModelSpec.rem(), ModelSpec.npp(), ModelSpec.sk(),
                  ModelSpec.npp(coupling="uniform")):
-        a = sample_energies(spec, cloud, np.random.default_rng(42)).values
-        b = sample_energies(spec, cloud, np.random.default_rng(42)).values
+        a, b = (_sample_energies(spec, cloud, np.random.default_rng(42)) for _ in range(2))
         assert a.tobytes() == b.tobytes()
 
 

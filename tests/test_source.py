@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import remlab
@@ -15,3 +16,17 @@ def test_package_validates_without_assert():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_traced_boundaries_exist():
+    # perfbench/spans.py rebinds these attributes for --trace 1; one that
+    # moved or was renamed would make the traced benchmark run fail
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    table = spans.patch_table()
+    assert table
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _, _ in table
+               if attr not in owner.__dict__]
+    assert not missing, missing
