@@ -21,10 +21,9 @@ from .combinatorics import (
 )
 from .core import Cloud, OverlapGrid, SpinConfig, delta_n, hamming, overlap, sample_cloud
 from .errors import NumericalError, UsageError
-from .gibbs import GibbsWeights, gibbs_weights, pd_compare, pd_moment, sample_pd_weights
+from .gibbs import pd_compare, pd_moment, sample_pd_weights
 from .models import (
     CouplingDist,
-    EnergySample,
     ModelSpec,
     coupling_c4,
     estimate_c4_empirical,
@@ -37,6 +36,7 @@ from .pointproc import (
     Normalization,
     count_in_window,
     factorial_moment,
+    gibbs_weights,
     moment_ratio,
     normalize,
     poisson_gof,

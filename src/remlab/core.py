@@ -22,6 +22,9 @@ LOG2 = math.log(2.0)
 # the stream of uniforms (and hence the cloud) is reproducible bit for bit.
 _EXACT_MODE_MAX_N = 24
 _SCAN_CHUNK = 1 << 20
+# Clouds whose expected float64 sign matrix (8 n 2^m bytes) exceeds this are
+# refused before any draw.
+_SIGN_MATRIX_MAX_BYTES = 2 << 30
 
 
 @dataclass(frozen=True, order=True)
@@ -203,6 +206,7 @@ def sample_cloud(n: int, m: float, rng: np.random.Generator, mode: str = "auto")
     2^(m-n), at most 2^(-n/2) for m <= n/2 at any n (Barbour and Hall 1984).
     ``large_n`` refuses m > n/2: a dense cloud turns its distinct-string loop
     into a coupon collector, which never ends once the Poisson target exceeds 2^n.
+    Either mode refuses a cloud whose expected sign matrix exceeds 2 GiB.
     """
     if m > n:
         raise UsageError(f"need 2^m <= 2^n, got m={m} > n={n}")
@@ -216,6 +220,12 @@ def sample_cloud(n: int, m: float, rng: np.random.Generator, mode: str = "auto")
         raise UsageError(
             f"large_n cloud sampling needs m <= n/2, got m={m} with n={n}; "
             f"dense clouds need exact mode (n <= {_EXACT_MODE_MAX_N})"
+        )
+    sign_bytes = 8.0 * n * 2.0**m
+    if sign_bytes > _SIGN_MATRIX_MAX_BYTES:
+        raise UsageError(
+            f"a cloud of about 2^{m:g} members at n={n} needs a {sign_bytes / 2**30:.3g} GiB "
+            f"sign matrix; the limit is {_SIGN_MATRIX_MAX_BYTES / 2**30:g} GiB"
         )
 
     for attempt in range(2):

@@ -1,4 +1,4 @@
-"""Gibbs weights on the cloud and comparison with Poisson-Dirichlet predictions."""
+"""Poisson-Dirichlet moments and simulator, compared with replica Gibbs-weight power sums."""
 
 from __future__ import annotations
 
@@ -14,37 +14,6 @@ from .pipeline import gibbs_power_sums
 from .pointproc import SQRT_2LOG2, Normalization
 
 PD_ATOMS = 10_000
-
-
-@dataclass(frozen=True)
-class GibbsWeights:
-    """Sorted normalized weights w ~ exp(-beta H'), plus the PD parameter."""
-
-    weights: np.ndarray
-    beta: float
-    m_pd: float
-
-    def power_sum(self, k: int) -> float:
-        return float(np.sum(self.weights**k))
-
-
-def gibbs_weights(values, beta: float) -> GibbsWeights:
-    """Normalized Gibbs weights of the energies, sorted non-increasing.
-
-    Shift-invariant by construction: the max energy is subtracted before
-    exponentiation, so adding a constant to all energies changes nothing.
-    """
-    if beta <= 0:
-        raise UsageError("inverse temperature must be positive")
-    values = np.asarray(getattr(values, "values", values), dtype=float)
-    if values.size == 0:
-        raise UsageError("need at least one energy value")
-    z = -beta * values
-    z -= z.max()
-    w = np.exp(z)
-    w /= w.sum()
-    w[::-1].sort()
-    return GibbsWeights(weights=w, beta=beta, m_pd=SQRT_2LOG2 / beta)
 
 
 def pd_moment(m: float, k: int) -> float:

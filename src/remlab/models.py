@@ -3,7 +3,9 @@
 The energy vector over a cloud is centered with unit variance and covariance
 nu(R) built from the mixture; the explicit route draws the couplings
 themselves (p in {1, 2}, any coupling law), the Cholesky route factors the
-overlap kernel (Gaussian law, arbitrary mixtures).
+overlap kernel (Gaussian law, arbitrary mixtures). Energies are plain
+float64 arrays aligned with the cloud's members; ``pipeline`` draws them
+block by block, one column per replica.
 """
 
 from __future__ import annotations
@@ -144,21 +146,7 @@ class ModelSpec:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class EnergySample:
-    """One disorder replica: raw energies aligned with Cloud.members."""
-
-    values: np.ndarray
-    spec: ModelSpec
-    replica_id: int = 0
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise NumericalError("energy sample contains non-finite values")
-
-
-def sample_explicit(spec: ModelSpec, cloud: Cloud, rng: np.random.Generator,
-                    replica_id: int = 0) -> EnergySample:
+def sample_explicit(spec: ModelSpec, cloud: Cloud, rng: np.random.Generator) -> np.ndarray:
     """Draw the couplings themselves and contract them against the cloud.
 
     Pure p in {1, 2}: H(sigma) = a_p n^(-p/2) sum g_{i..} sigma_{i1}..sigma_{ip}
@@ -166,8 +154,7 @@ def sample_explicit(spec: ModelSpec, cloud: Cloud, rng: np.random.Generator,
     covariance exactly nu(R) = a_p^2 R^p.
     """
     if spec.is_rem:
-        values = rng.standard_normal(len(cloud))
-        return EnergySample(values=values, spec=spec, replica_id=replica_id)
+        return rng.standard_normal(len(cloud))
     if len(spec.mixture) != 1 or spec.mixture[0][0] not in (1, 2):
         raise UsageError("explicit sampler supports a single mixture term with p in {1, 2}")
     p, a = spec.mixture[0]
@@ -184,7 +171,9 @@ def sample_explicit(spec: ModelSpec, cloud: Cloud, rng: np.random.Generator,
             )
         g = spec.coupling.draw(rng, (n, n))
         values = a * np.einsum("ki,ij,kj->k", s, g, s) / n
-    return EnergySample(values=values, spec=spec, replica_id=replica_id)
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("explicit energies contain non-finite values")
+    return values
 
 
 class CholeskySampler:
@@ -202,14 +191,8 @@ class CholeskySampler:
                 f"|X|={len(cloud)} exceeds the cubic factorization budget "
                 f"({_CHOLESKY_MAX_SIZE}); use the explicit sampler"
             )
-        self.spec = spec
-        self.cloud = cloud
         kernel = spec.nu(cloud.overlap_matrix()) if not spec.is_rem else np.eye(len(cloud))
         self.low = _factor_with_jitter(kernel)
-
-    def sample(self, rng: np.random.Generator, replica_id: int = 0) -> EnergySample:
-        z = rng.standard_normal(len(self.cloud))
-        return EnergySample(values=self.low @ z, spec=self.spec, replica_id=replica_id)
 
     def sample_block(self, z: np.ndarray) -> np.ndarray:
         """Map a (|X|, B) block of standard normals to energies."""
@@ -222,9 +205,12 @@ def _factor_with_jitter(kernel: np.ndarray) -> np.ndarray:
     for jitter in _JITTER_LADDER:
         try:
             shifted = kernel if jitter == 0.0 else kernel + jitter * np.eye(len(kernel))
-            return np.linalg.cholesky(shifted)
+            low = np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             continue
+        if not np.all(np.isfinite(low)):
+            raise NumericalError("kernel factor contains non-finite values")
+        return low
     raise NumericalError(
         f"kernel factorization failed even with diagonal jitter {_JITTER_LADDER[-1]:g}"
     )

@@ -6,7 +6,9 @@ run in blocks of ``BLOCK_SIZE``; each block is drawn and reduced by a
 per-block reducer (window counts and in-window values, or Gibbs power sums)
 on the same worker thread, so energies never outlive their block. A threaded
 run keeps at most threads + 1 blocks in flight, and the calling thread merges
-the reduced blocks in replica order.
+the reduced blocks in replica order. ``_quenched_block`` is the one function
+that turns a cloud and a replica range into energies: an annealed replica
+draws its own cloud and then its energies through it, as a block of one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .core import Cloud, sample_cloud
 from .errors import UsageError
 from .models import CholeskySampler, ModelSpec, pick_sampler, sample_explicit
-from .pointproc import Normalization
+from .pointproc import Normalization, gibbs_weights, normalize
 
 # Namespace tags ("clou", "repl" in ASCII) keep the replica streams disjoint
 # from the cloud-sampling stream under one experiment seed.
@@ -53,7 +55,7 @@ def _quenched_block(spec: ModelSpec, cloud: Cloud, sampler: str,
         if sampler == "cholesky" or spec.is_rem:
             rng.standard_normal(out=row)
         else:
-            row[:] = sample_explicit(spec, cloud, rng, replica_id=r).values
+            row[:] = sample_explicit(spec, cloud, rng)
     return chol.sample_block(rows.T) if sampler == "cholesky" else rows.T
 
 
@@ -66,13 +68,12 @@ def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -
     cloud_mode = "large_n" if cloud.n > 16 and cloud.m <= cloud.n / 2 else "exact"
     cols = []
     for r in replicas:
-        rng_c = derive_rng(seed, NS_CLOUD, r + 1)
-        rep_cloud = sample_cloud(cloud.n, cloud.m, rng_c, mode=cloud_mode)
-        rng_e = derive_rng(seed, NS_REPLICA, r)
-        if pick_sampler(spec, rep_cloud) == "explicit":
-            cols.append(sample_explicit(spec, rep_cloud, rng_e, r).values)
-        else:
-            cols.append(CholeskySampler(spec, rep_cloud).sample(rng_e, r).values)
+        rep_cloud = sample_cloud(cloud.n, cloud.m, derive_rng(seed, NS_CLOUD, r + 1),
+                                 mode=cloud_mode)
+        sampler = pick_sampler(spec, rep_cloud)
+        chol = CholeskySampler(spec, rep_cloud) if sampler == "cholesky" else None
+        block = _quenched_block(spec, rep_cloud, sampler, chol, seed, range(r, r + 1))
+        cols.append(block[:, 0])
     return cols
 
 
@@ -205,11 +206,7 @@ def gibbs_power_sums(
         cols = block.T if isinstance(block, np.ndarray) else block
         sums = np.empty((len(cols), len(powers)))
         for j, col in enumerate(cols):
-            hp = (col - norm.a_n) / norm.b_n
-            z = -beta * hp
-            z -= z.max()
-            w = np.exp(z)
-            w /= w.sum()
+            w = gibbs_weights(normalize(col, norm), beta)
             for pi, k in enumerate(powers):
                 sums[j, pi] = np.sum(w**k)
         return sums

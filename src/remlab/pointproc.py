@@ -1,4 +1,4 @@
-"""Energy normalization, window counting, factorial moments, Poisson diagnostics."""
+"""Energy normalization, Gibbs weights, window counting, factorial moments, Poisson diagnostics."""
 
 from __future__ import annotations
 
@@ -41,8 +41,26 @@ class Normalization:
 
 def normalize(values, norm: Normalization) -> np.ndarray:
     """Elementwise (H - a_n) / b_n."""
-    values = np.asarray(getattr(values, "values", values), dtype=float)
+    values = np.asarray(values, dtype=float)
     return (values - norm.a_n) / norm.b_n
+
+
+def gibbs_weights(values, beta: float) -> np.ndarray:
+    """Normalized Gibbs weights exp(-beta H) / Z of the energies, in input order.
+
+    Shift-invariant by construction: the max of -beta H is subtracted before
+    exponentiation, so adding a constant to all energies changes nothing.
+    """
+    if beta <= 0:
+        raise UsageError("inverse temperature must be positive")
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise UsageError("need at least one energy value")
+    z = -beta * values
+    z -= z.max()
+    w = np.exp(z)
+    w /= w.sum()
+    return w
 
 
 @dataclass(frozen=True)

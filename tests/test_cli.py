@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remlab.cli import (
     build_config,
@@ -40,8 +42,39 @@ def test_parse_config_text():
         parse_config_text("just some words\n")
 
 
-def test_config_round_trips_losslessly():
-    cfg = build_config("simulate", dict(REM_CFG), {"mode": "annealed"})
+@st.composite
+def _window_entry(draw):
+    """[lo, hi], or a list of sorted disjoint intervals."""
+    k = draw(st.integers(1, 3))
+    edges = sorted(draw(st.lists(st.floats(-50.0, 50.0), min_size=2 * k, max_size=2 * k,
+                                 unique=True)))
+    intervals = [edges[2 * i : 2 * i + 2] for i in range(k)]
+    return intervals[0] if k == 1 and draw(st.booleans()) else intervals
+
+
+@st.composite
+def _mixture_table(draw):
+    """[[p, a_p], ...] with distinct powers and sum a_p^2 = 1."""
+    powers = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    raw = draw(st.lists(st.floats(0.1, 10.0), min_size=len(powers), max_size=len(powers)))
+    norm = math.sqrt(sum(w * w for w in raw))
+    return [[p, w / norm] for p, w in zip(powers, raw)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows=st.lists(_window_entry(), min_size=1, max_size=3),
+       mixture=st.none() | _mixture_table(),
+       epsilon=st.none() | st.floats(0.25, 8.0),
+       sqrt_rule=st.booleans(),
+       seed=st.integers(0, 2**64 - 1),
+       mode=st.sampled_from(["quenched", "annealed"]))
+def test_config_round_trips_losslessly(windows, mixture, epsilon, sqrt_rule, seed, mode):
+    overrides = {"windows": windows, "epsilon": epsilon, "seed": seed, "mode": mode}
+    if mixture is not None:
+        overrides.update(model="mixture", mixture=mixture)
+    if epsilon is not None and sqrt_rule:
+        overrides["m_rule"] = "sqrt"  # n = 64: m = 8 epsilon lies in [2, 64]
+    cfg = build_config("simulate", dict(REM_CFG), overrides)
     reparsed = parse_config_text(cfg.to_text())
     cfg2 = build_config(reparsed.pop("command"), reparsed, {})
     assert cfg == cfg2
@@ -189,6 +222,16 @@ def test_dense_cloud_beyond_exact_range_exits_2(capsys):
     assert main(argv) == 2
     assert main(argv + ["--override", "mode=annealed"]) == 2
     assert "m <= n/2" in capsys.readouterr().err
+
+
+def test_oversized_cloud_exits_2():
+    proc = subprocess.run(
+        [sys.executable, "-m", "remlab.cli", "simulate", "--override", "n=100",
+         "--override", "m=40"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "GiB sign matrix" in proc.stderr
 
 
 def test_console_entry_point(tmp_path):

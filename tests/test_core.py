@@ -152,6 +152,14 @@ def test_large_n_refuses_dense_clouds_without_hanging():
         sample_cloud(40, 20.5, np.random.default_rng(0))  # auto mode, n > 24
 
 
+def test_sample_cloud_refuses_oversized_sign_matrix():
+    # both once ended in numpy's MemoryError: 2^41.25 random rows, and a
+    # 6.5-million-member cloud whose 7.9 GiB sign matrix failed to allocate
+    for n, m in ((163, 41.25), (163, 22.4)):
+        with pytest.raises(UsageError, match="GiB sign matrix"):
+            sample_cloud(n, m, np.random.default_rng(0))
+
+
 def test_max_overlap_within_delta_bound():
     # mean size 256 at n = 4000: the bound 0.235 is far above typical 0.08
     cloud = sample_cloud(4000, 8.0, np.random.default_rng(5))

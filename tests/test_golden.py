@@ -82,6 +82,24 @@ SCENARIOS = {
         + _ov(model="npp", n=12, m=7, replicas=600, mode="annealed"),
         "b0b3fdcb65fdd4e14d38db986bc2188cb748acb7170bca52dd443f37f881b015",
     ),
+    # annealed Gibbs weights over more than one block
+    "gibbs-rem-annealed-blocks": (
+        ["gibbs", "--seed", "23"]
+        + _ov(model="rem", n=20, m=6, beta=2.0, replicas=2500, mode="annealed"),
+        "f2f7a3f6df1d6e01a45b9702218dafccf6742907a8d171ab626a8566be705299",
+    ),
+    # annealed replicas on the explicit-coupling route (non-Gaussian law)
+    "simulate-npp-laplace-annealed": (
+        ["simulate", "--seed", "29"]
+        + _ov(model="npp", coupling="laplace", n=20, m=5, replicas=800, mode="annealed"),
+        "a433c3fe318d15b03abca24bc336e192f6a2f47a39fd17549972baf210072988",
+    ),
+    # annealed replicas on the Cholesky route with a non-SK kernel
+    "simulate-pspin3-annealed": (
+        ["simulate", "--seed", "31"]
+        + _ov(model="pspin", p=3, n=18, m=5, replicas=800, mode="annealed"),
+        "5e8cbf10a7008e92db143d1c6771f0769a3671a06ee70c0def7c9188a48f69da",
+    ),
     # members wider than one 64-bit word: the sort order spans byte columns
     "simulate-sk-quenched-multiword": (
         ["simulate", "--seed", "19"] + _ov(model="sk", n=70, m=6, replicas=600),

@@ -123,14 +123,14 @@ def test_nu_monotone_on_unit_interval():
 def test_explicit_p1_single_coupling_anticorrelated():
     cloud = Cloud.from_bits(1, [0, 1])
     sample = sample_explicit(ModelSpec.npp(), cloud, np.random.default_rng(0))
-    assert sample.values[0] == pytest.approx(-sample.values[1], abs=0)
+    assert sample[0] == pytest.approx(-sample[1], abs=0)
 
 
 def test_explicit_p1_unit_variance():
     cloud = Cloud.from_bits(8, [255])
     rng = np.random.default_rng(1)
     vals = np.array([
-        sample_explicit(ModelSpec.npp(), cloud, rng).values[0] for _ in range(100_000)
+        sample_explicit(ModelSpec.npp(), cloud, rng)[0] for _ in range(100_000)
     ])
     assert abs(vals.var() - 1.0) < 0.02
 
@@ -139,7 +139,7 @@ def test_explicit_p2_zero_overlap_covariance():
     cloud = two_config_cloud(8, 4)  # R = 0
     rng = np.random.default_rng(2)
     vals = np.array([
-        sample_explicit(ModelSpec.sk(), cloud, rng).values for _ in range(100_000)
+        sample_explicit(ModelSpec.sk(), cloud, rng) for _ in range(100_000)
     ])
     cov = np.cov(vals.T)
     assert abs(cov[0, 1]) <= 3 * 10**-2.5
@@ -150,7 +150,7 @@ def test_cholesky_single_member_is_standard_normal():
     cloud = Cloud.from_bits(6, [0])
     sampler = CholeskySampler(ModelSpec.sk(), cloud)
     rng = np.random.default_rng(3)
-    vals = np.array([sampler.sample(rng).values[0] for _ in range(50_000)])
+    vals = sampler.sample_block(rng.standard_normal((50_000, 1)).T).T[:, 0]
     assert abs(vals.mean()) < 0.02 and abs(vals.var() - 1.0) < 0.03
 
 
@@ -161,7 +161,7 @@ def test_cholesky_mixture_covariance():
     cloud = two_config_cloud(8, 2)  # R = 1 - 2*2/8 = 0.5
     sampler = CholeskySampler(spec, cloud)
     rng = np.random.default_rng(4)
-    z = np.array([sampler.sample(rng).values for _ in range(100_000)])
+    z = sampler.sample_block(rng.standard_normal((100_000, len(cloud))).T).T
     cov = np.cov(z.T)
     se = 1.2 / math.sqrt(len(z))
     assert abs(cov[0, 1] - 0.375) <= 3 * se
@@ -172,7 +172,7 @@ def test_cholesky_sk_three_config_covariance():
     gram = cloud.overlap_matrix()
     sampler = CholeskySampler(ModelSpec.sk(), cloud)
     rng = np.random.default_rng(5)
-    z = np.array([sampler.sample(rng).values for _ in range(100_000)])
+    z = sampler.sample_block(rng.standard_normal((100_000, len(cloud))).T).T
     cov = np.cov(z.T)
     for i in range(3):
         for j in range(3):
@@ -187,10 +187,10 @@ def test_gaussian_paths_agree_in_law():
     spec = ModelSpec.sk()
     reps = 20_000
     rng_e = np.random.default_rng(7)
-    ve = np.array([sample_explicit(spec, cloud, rng_e).values for _ in range(reps)])
+    ve = np.array([sample_explicit(spec, cloud, rng_e) for _ in range(reps)])
     sampler = CholeskySampler(spec, cloud)
     rng_c = np.random.default_rng(8)
-    vc = np.array([sampler.sample(rng_c).values for _ in range(reps)])
+    vc = sampler.sample_block(rng_c.standard_normal((reps, len(cloud))).T).T
     se_mean = math.sqrt(2.0 / reps)
     assert np.max(np.abs(ve.mean(0) - vc.mean(0))) <= 5 * se_mean
     se_cov = math.sqrt(2.0 * (1 + 1) / reps)
@@ -219,8 +219,8 @@ def test_explicit_rejects_high_p_and_cholesky_rejects_nongaussian():
 
 def _sample_energies(spec, cloud, rng):
     if pick_sampler(spec, cloud) == "explicit":
-        return sample_explicit(spec, cloud, rng).values
-    return CholeskySampler(spec, cloud).sample(rng).values
+        return sample_explicit(spec, cloud, rng)
+    return CholeskySampler(spec, cloud).sample_block(rng.standard_normal((len(cloud), 1)))[:, 0]
 
 
 def test_determinism_identical_bytes():
@@ -238,3 +238,10 @@ def test_jitter_ladder():
     assert np.allclose(low @ low.T, ones, atol=1e-5)
     with pytest.raises(NumericalError):
         _factor_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_non_finite_kernel_factor_raises():
+    # numpy's Cholesky returns [[nan]] and [[inf]] for these without error
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericalError, match="non-finite"):
+            _factor_with_jitter(np.array([[bad]]))

@@ -38,27 +38,25 @@ def test_block_merge_is_independent_of_threads(name):
         assert np.array_equal(s, sums)
 
 
-def _traced_peak(cloud, norm, blocks: int) -> int:
+def test_threaded_quenched_memory_does_not_grow_with_replicas():
+    # numpy reports its buffers to tracemalloc. A (|X|, 2048) float64 block
+    # is about 8 MB here. Each of the two workers holds at most its drawn
+    # block, its energy block and a boolean mask (1/8 block); the factor and
+    # the counts together stay under one block. So the peak is below
+    # 2 * threads + 1 blocks whatever the scheduling, while a run that held
+    # every one of its 24 blocks would need about 24.
+    cloud = experiment_cloud(40, 9.0, seed=1)
+    norm = Normalization(9.0)
+    threads, blocks = 2, 24
+    block_bytes = 8 * len(cloud) * BLOCK_SIZE
     tracemalloc.start()
     try:
         count_replicas(ModelSpec.sk(), cloud, norm, WINDOWS, 4, blocks * BLOCK_SIZE,
-                       threads=2)
-        return tracemalloc.get_traced_memory()[1]
+                       threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_threaded_quenched_memory_does_not_grow_with_replicas():
-    # numpy reports its buffers to tracemalloc. A (|X|, 2048) block here is
-    # 8 MB, so holding every block would multiply the peak by about 5. The
-    # cloud is large enough that both workers are always caught inside the
-    # (|X| x |X|) @ (|X| x 2048) product at once, so even 4 blocks reach the
-    # steady-state peak of two drawn blocks plus two energy blocks.
-    cloud = experiment_cloud(40, 9.0, seed=1)
-    norm = Normalization(9.0)
-    small = _traced_peak(cloud, norm, 4)
-    large = _traced_peak(cloud, norm, 24)
-    assert large <= 1.25 * small, (small, large)
+    assert peak <= (2 * threads + 1) * block_bytes, (peak, block_bytes)
 
 
 def test_progress_lines_are_ordered_and_stay_off_stdout(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remlab.errors import UsageError
 from remlab.pointproc import (
@@ -52,6 +54,41 @@ def test_borel_window_validation():
         BorelWindow(intervals=((0.0, 2.0), (1.0, 3.0)))
     w = BorelWindow(intervals=((-1.0, 0.0), (0.5, 1.5)))
     assert w.length() == 2.0
+
+
+_FLOATS = st.floats(-20.0, 20.0)
+
+
+@st.composite
+def _window_and_values(draw):
+    """A window of 1-3 sorted disjoint intervals, and values that include its edges."""
+    k = draw(st.integers(1, 3))
+    edges = sorted(draw(st.lists(_FLOATS, min_size=2 * k, max_size=2 * k, unique=True)))
+    window = BorelWindow(tuple((edges[2 * i], edges[2 * i + 1]) for i in range(k)))
+    values = draw(st.lists(_FLOATS | st.sampled_from(edges), max_size=40))
+    return window, np.array(values, dtype=float)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_window_and_values())
+def test_window_mask_is_union_of_half_open_intervals(case):
+    window, values = case
+    expected = [any(lo <= v < hi for lo, hi in window.intervals) for v in values]
+    assert window.mask(values).tolist() == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_window_and_values(), _FLOATS)
+def test_count_in_window_adds_up_over_a_split_window(case, cut):
+    window, values = case
+
+    def count_part(lo_cut, hi_cut):
+        parts = tuple((max(lo, lo_cut), min(hi, hi_cut)) for lo, hi in window.intervals
+                      if max(lo, lo_cut) < min(hi, hi_cut))
+        return count_in_window(values, BorelWindow(parts)) if parts else 0
+
+    total = count_in_window(values, window)
+    assert count_part(-math.inf, cut) + count_part(cut, math.inf) == total
 
 
 def test_count_in_window_half_open():
