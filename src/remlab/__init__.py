@@ -43,7 +43,6 @@ from .pointproc import (
     spacing_test,
 )
 from .theory import (
-    LimitPrediction,
     gaussian_joint_window_prob,
     intensity_mu,
     limit_constant,

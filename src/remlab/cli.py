@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -105,8 +105,6 @@ class ExperimentConfig:
         """Each entry is one window: [lo, hi], or a list of intervals for unions."""
         wins = []
         for entry in self.windows:
-            if not entry:
-                raise UsageError("field windows: empty window entry")
             if isinstance(entry[0], (list, tuple)):
                 wins.append(BorelWindow(tuple(tuple(iv) for iv in entry)))
             else:
@@ -168,6 +166,48 @@ def _parse_value(text: str, where: str):
         raise UsageError(f"{where}: cannot parse value {text!r}") from None
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _list_of(accepts, size=None):
+    return lambda v: isinstance(v, list) and size in (None, len(v)) and all(map(accepts, v))
+
+
+_INTERVAL = _list_of(_is_number, 2)
+
+# What a field accepts: by name for the lists whose entries the commands
+# convert, else by annotation. Nothing is converted, so the embedded config
+# echoes the input.
+_ACCEPTS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "windows": (_list_of(lambda e: _INTERVAL(e) or e != [] and _list_of(_INTERVAL)(e)),
+                "a list of entries [lo, hi] or [[lo, hi], ...]"),
+    "mixture": (_list_of(lambda e: _INTERVAL(e) and _is_int(e[0])),
+                "a list of [p, a_p] with an integer p"),
+    "eps_values": (_list_of(_is_number), "a list of finite numbers"),
+    "r_values": (_list_of(_is_number), "a list of finite numbers"),
+    "n_values": (_list_of(_is_int), "a list of integers"),
+    "triples": (_list_of(_list_of(_is_number, 3)), "a list of [r12, r23, r31]"),
+}
+
+
+def _check_types(values: dict) -> None:
+    for f in fields(ExperimentConfig):
+        kind, _, optional = f.type.partition(" | ")
+        accepts, expected = _ACCEPTS.get(f.name) or _ACCEPTS[kind]
+        value = values.get(f.name)
+        if f.name in values and not (value is None and optional) and not accepts(value):
+            raise UsageError(f"field {f.name}: expected {expected}, got {value!r}")
+
+
 def build_config(command: str, file_values: dict, overrides: dict) -> ExperimentConfig:
     merged = dict(file_values)
     merged.update(overrides)
@@ -176,6 +216,7 @@ def build_config(command: str, file_values: dict, overrides: dict) -> Experiment
     unknown = set(merged) - valid
     if unknown:
         raise UsageError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+    _check_types(merged)
     cfg = ExperimentConfig(**merged)
     _validate(cfg)
     return cfg
@@ -207,13 +248,13 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise UsageError("field max_ell: must be 1, 2, or 3")
     if cfg.command == "gibbs" and cfg.beta is None:
         raise UsageError("field beta: required for the gibbs command")
+    if cfg.command == "theory" and cfg.theory_kind == "ratio_scan" and len(cfg.windows) != 1:
+        raise UsageError("field windows: ratio_scan takes exactly one window")
 
 
 def _record(cfg: ExperimentConfig, kind: str, payload: dict) -> dict:
-    rec = {"format_version": FORMAT_VERSION, "record": kind}
-    rec.update(_jsonify(payload))
-    rec["config"] = cfg.to_dict()
-    return rec
+    return {"format_version": FORMAT_VERSION, "record": kind, **_jsonify(payload),
+            "config": cfg.to_dict()}
 
 
 def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
@@ -234,6 +275,7 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
     records = []
     for wi, window in enumerate(windows):
         cv = CountVector(counts[:, wi])
+        win = list(window.intervals)
         mu = theory.intensity_mu(window)
         p1 = theory.marginal_window_prob(norm, window)
         lam = len(cloud) * p1 if quenched else 2.0**m * p1
@@ -253,10 +295,9 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
             ref_sa = sa.get(ell)
             ref_for_verdict = cond.get(ell) if quenched else ref_sa
             records.append(_record(cfg, "moment", {
-                "window": list(window.intervals),
+                "window": win,
                 "ell": ell,
-                "estimate": rep.estimate,
-                "stderr": rep.stderr,
+                **asdict(rep),
                 "reference_semianalytic": ref_sa,
                 "reference_conditional": cond.get(ell),
                 "reference_asymptotic":
@@ -268,7 +309,7 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
         if np.any(counts[:, wi] > 0):
             ratio, ratio_se = moment_ratio(cv)
             records.append(_record(cfg, "ratio", {
-                "window": list(window.intervals),
+                "window": win,
                 "ratio": ratio,
                 "stderr": ratio_se,
                 "reference_semianalytic":
@@ -279,23 +320,12 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
                 "within_3se_of_poisson": bool(abs(ratio - 1.0) <= 3 * ratio_se),
             }))
         if cfg.gof and cfg.replicas >= 1000:
-            gof = poisson_gof(cv, lam)
             records.append(_record(cfg, "poisson_gof", {
-                "window": list(window.intervals),
-                "lambda": lam,
-                "statistic": gof.statistic,
-                "dof": gof.dof,
-                "pvalue": gof.pvalue,
-                "passed_1pct": gof.passed_1pct,
+                "window": win, "lambda": lam, **asdict(poisson_gof(cv, lam)),
             }))
         if cfg.spacing and len(pooled[wi]) >= 200:
-            sp = spacing_test(pooled[wi], window)
             records.append(_record(cfg, "spacing", {
-                "window": list(window.intervals),
-                "ks_distance": sp.ks_distance,
-                "n_points": sp.n_points,
-                "pvalue": sp.pvalue,
-                "passed_1pct": sp.passed_1pct,
+                "window": win, **asdict(spacing_test(pooled[wi], window)),
             }))
     records.append(_record(cfg, "cloud", {
         "size": len(cloud),
@@ -309,12 +339,8 @@ def _limit_tag(cfg: ExperimentConfig, spec: ModelSpec):
     if spec.is_rem:
         return "rem", cfg.m_rule if cfg.m_rule != "fixed" else "sqrt"
     if spec.mixture is not None and len(spec.mixture) == 1:
-        p = spec.mixture[0][0]
-        if p == 1:
-            return "npp", "sqrt"
-        if p == 2:
-            return "sk", "linear"
-        return "pspin", "linear"
+        tag = {1: "npp", 2: "sk"}.get(spec.mixture[0][0], "pspin")
+        return tag, theory._SCALING_BY_MODEL[tag]
     return None, None
 
 
@@ -325,7 +351,7 @@ def _limit_factors(cfg: ExperimentConfig, spec: ModelSpec):
         return None
     eps = float(cfg.epsilon if cfg.m_rule in ("sqrt", "linear") else 0.0)
     try:
-        return tuple(theory.limit_constant(tag, scaling, eps, ell, c4=spec.coupling.c4).value
+        return tuple(theory.limit_constant(tag, scaling, eps, ell, c4=spec.coupling.c4)
                      for ell in (1, 2))
     except UsageError:
         return None
@@ -335,13 +361,13 @@ def _limit_ratio(limits):
     return limits[1] / limits[0] ** 2 if limits else None
 
 
-def _write_scan_csv(path: str, header: list, rows: list) -> None:
+def _write_scan_csv(path: str, header: list, records: list) -> None:
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([rec[key] for key in header] for rec in records)
 
 
 def cmd_theory(cfg: ExperimentConfig, progress: bool = False) -> list:
@@ -355,15 +381,12 @@ def cmd_theory(cfg: ExperimentConfig, progress: bool = False) -> list:
         if not cfg.eps_values:
             raise UsageError("limit_scan needs eps_values")
         for eps in cfg.eps_values:
-            pred = theory.limit_constant(tag, scaling, float(eps), cfg.ell,
-                                         c4=spec.coupling.c4)
+            value = theory.limit_constant(tag, scaling, float(eps), cfg.ell, c4=spec.coupling.c4)
             records.append(_record(cfg, "limit_constant", {
-                "model": tag, "scaling": scaling, "eps": eps,
-                "ell": cfg.ell, "value": pred.value,
+                "model": tag, "scaling": scaling, "eps": eps, "ell": cfg.ell, "value": value,
             }))
         if cfg.csv_out:
-            _write_scan_csv(cfg.csv_out, ["eps", "value"],
-                            [[r["eps"], r["value"]] for r in records])
+            _write_scan_csv(cfg.csv_out, ["eps", "value"], records)
         return records
     if cfg.theory_kind == "ratio_scan":
         spec = cfg.model_spec()
@@ -372,9 +395,7 @@ def cmd_theory(cfg: ExperimentConfig, progress: bool = False) -> list:
         window = cfg.window_objects()[0]
         limit = _limit_ratio(_limit_factors(cfg, spec))
         for n in cfg.n_values:
-            n = int(n)
-            sub = ExperimentConfig(**{**asdict(cfg), "n": n})
-            m = sub.resolved_m()
+            m = replace(cfg, n=n).resolved_m()
             m1 = theory.semianalytic_moment(spec, n, m, window, 1)
             m2 = theory.semianalytic_moment(spec, n, m, window, 2)
             if progress:
@@ -385,9 +406,7 @@ def cmd_theory(cfg: ExperimentConfig, progress: bool = False) -> list:
                 "limit": limit,
             }))
         if cfg.csv_out:
-            _write_scan_csv(cfg.csv_out, ["n", "m", "m1", "m2", "ratio", "limit"],
-                            [[r["n"], r["m"], r["m1"], r["m2"], r["ratio"], r["limit"]]
-                             for r in records])
+            _write_scan_csv(cfg.csv_out, ["n", "m", "m1", "m2", "ratio", "limit"], records)
         return records
     raise UsageError(f"unknown theory_kind {cfg.theory_kind!r}")
 
@@ -396,14 +415,13 @@ def cmd_comb(cfg: ExperimentConfig, progress: bool = False) -> list:
     """Tabulate rate functions, exact counts, and regime labels; verify mode
     cross-checks the closed-form counts against brute-force censuses."""
     records = []
-    n, m = cfg.n, float(cfg.m)
+    n = cfg.n
+    trips = [(t, comb.TripleOverlap(*map(float, t))) for t in cfg.triples]
     if cfg.comb_kind == "rates":
         for r in cfg.r_values:
             records.append(_record(cfg, "rate", {"r": r, "j": comb.rate_j(float(r))}))
-        for t in cfg.triples:
-            trip = comb.TripleOverlap(*map(float, t))
-            records.append(_record(cfg, "rate_triple", {"triple": list(t),
-                                                        "j2": comb.rate_j2(trip)}))
+        for t, trip in trips:
+            records.append(_record(cfg, "rate_triple", {"triple": t, "j2": comb.rate_j2(trip)}))
         return records
     if cfg.comb_kind == "counts":
         for r in cfg.r_values:
@@ -412,27 +430,22 @@ def cmd_comb(cfg: ExperimentConfig, progress: bool = False) -> list:
                 "count": comb.count_v2_exact(n, float(r)),
                 "log_count": comb.log_count_v2(n, float(r)),
             }))
-        for t in cfg.triples:
-            trip = comb.TripleOverlap(*map(float, t))
+        for t, trip in trips:
             records.append(_record(cfg, "triple_count", {
-                "n": n, "triple": list(t),
+                "n": n, "triple": t,
                 "count": comb.count_w3_exact(n, trip),
                 "ndelta": list(comb.solve_ndelta(n, trip)),
             }))
         return records
     if cfg.comb_kind == "regimes":
+        m = cfg.resolved_m()
         for r in cfg.r_values:
             label = comb.classify_pair_regime(n, m, float(r))
-            records.append(_record(cfg, "pair_regime", {
-                "n": n, "m": m, "r": r, "label": label.label,
-                "c1": label.c1, "c2": label.c2,
-            }))
-        for t in cfg.triples:
-            trip = comb.TripleOverlap(*map(float, t))
+            records.append(_record(cfg, "pair_regime", {"n": n, "m": m, "r": r, **asdict(label)}))
+        for t, trip in trips:
             label = comb.classify_triple_regime(n, m, trip)
             records.append(_record(cfg, "triple_regime", {
-                "n": n, "m": m, "triple": list(t), "label": label.label,
-                "c1": label.c1, "c2": label.c2,
+                "n": n, "m": m, "triple": t, **asdict(label),
             }))
         return records
     if cfg.comb_kind == "verify":
@@ -462,17 +475,7 @@ def cmd_gibbs(cfg: ExperimentConfig, progress: bool = False) -> list:
     cloud = experiment_cloud(cfg.n, m, cfg.seed)
     report = pd_compare(spec, cloud, float(cfg.beta), cfg.replicas, cfg.seed,
                         mode=cfg.mode, threads=cfg.threads)
-    return [_record(cfg, "pd_compare", {
-        "beta": report.beta,
-        "m_pd": report.m_pd,
-        "replicas": report.replicas,
-        "sum_w2": report.sum_w2,
-        "sum_w2_stderr": report.sum_w2_stderr,
-        "sum_w3": report.sum_w3,
-        "sum_w3_stderr": report.sum_w3_stderr,
-        "pd_w2": report.pd_w2,
-        "pd_w3": report.pd_w3,
-    })]
+    return [_record(cfg, "pd_compare", asdict(report))]
 
 
 _DISPATCH = {
@@ -509,8 +512,12 @@ def main(argv=None) -> int:
     try:
         file_values = {}
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_values = parse_config_text(fh.read())
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise UsageError(f"--config {args.config}: {exc}") from None
+            file_values = parse_config_text(text)
         overrides = {}
         for item in args.override:
             if "=" not in item:

@@ -122,11 +122,12 @@ def log_count_v2(n: int, r: float) -> float:
     """Natural log of count_v2_exact, usable far beyond big-integer comfort."""
     k = OverlapGrid(n).k_of(abs(r))
     base = n * LOG2 + _log_comb(n, k)
-    return base + (LOG2 if r > 1e-12 else 0.0)
+    return float(base + (LOG2 if r > 1e-12 else 0.0))
 
 
-def _log_comb(n: int, k: int) -> float:
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+def _log_comb(n, k):
+    """log C(n, k), elementwise on integer arrays."""
+    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
 def _ndelta_ints(n: int, t: TripleOverlap) -> tuple | None:
@@ -160,11 +161,15 @@ def log_count_w3(n: int, t: TripleOverlap) -> float:
     nd = _ndelta_ints(n, t)
     if nd is None:
         return -math.inf
-    npp_, npm, nmp, nmm = nd
-    d12 = nmp + nmm
+    return float(log_count_columns(n, *nd))
+
+
+def log_count_columns(n: int, npp_, npm, nmp, nmm):
+    """Log of the number of ordered triples with gauge column counts
+    (n_111, n_11-1, n_1-11, n_1-1-1); elementwise on integer arrays."""
     return (
         n * LOG2
-        + _log_comb(n, d12)
+        + _log_comb(n, nmp + nmm)
         + _log_comb(npp_ + npm, npp_)
         + _log_comb(nmp + nmm, nmp)
     )
@@ -198,15 +203,7 @@ def classify_pair_regime(
         raise UsageError("pair regime classifier needs c1 > 1/2")
     if not c2 > 1.5:
         raise UsageError("pair regime classifier needs c2 > 3/2")
-    nj = n * rate_j(r)
-    upper_term = math.log(n) if empty_uses_log_n else LOG2
-    if nj <= m * LOG2 - c1 * math.log(n):
-        label = "Concentrated"
-    elif nj > m * LOG2 + c2 * upper_term:
-        label = "Empty"
-    else:
-        label = "Polylog"
-    return RegimeLabel(label=label, c1=c1, c2=c2)
+    return _regime(n * rate_j(r), m * LOG2, n, c1, c2, empty_uses_log_n)
 
 
 def classify_triple_regime(
@@ -222,12 +219,16 @@ def classify_triple_regime(
         raise UsageError("triple regime classifier needs c1 > 1")
     if not c2 > 1.5:
         raise UsageError("triple regime classifier needs c2 > 3/2")
-    nj2 = n * rate_j2(t)
-    base = m * LOG2 + n * rate_j(t.r12)
+    return _regime(n * rate_j2(t), m * LOG2 + n * rate_j(t.r12), n, c1, c2, empty_uses_log_n)
+
+
+def _regime(nj, base, n, c1, c2, empty_uses_log_n) -> RegimeLabel:
+    """Concentrated when nj <= base - c1 log n, Empty when nj > base + c2 * (log 2
+    or log n), Polylog in between."""
     upper_term = math.log(n) if empty_uses_log_n else LOG2
-    if nj2 <= base - c1 * math.log(n):
+    if nj <= base - c1 * math.log(n):
         label = "Concentrated"
-    elif nj2 > base + c2 * upper_term:
+    elif nj > base + c2 * upper_term:
         label = "Empty"
     else:
         label = "Polylog"

@@ -123,7 +123,6 @@ class CountVector:
 
 @dataclass(frozen=True)
 class MomentReport:
-    order: int
     estimate: float
     stderr: float
 
@@ -143,11 +142,8 @@ def factorial_moment(counts: CountVector, ell: int) -> MomentReport:
     if counts.replicas < 2:
         raise UsageError("need at least two replicas for a standard error")
     ff = falling_factorial(counts.counts, ell)
-    return MomentReport(
-        order=ell,
-        estimate=float(np.mean(ff)),
-        stderr=float(np.std(ff, ddof=1) / math.sqrt(len(ff))),
-    )
+    return MomentReport(estimate=float(np.mean(ff)),
+                        stderr=float(np.std(ff, ddof=1) / math.sqrt(len(ff))))
 
 
 def moment_ratio(counts: CountVector) -> tuple:
@@ -177,7 +173,6 @@ class GofReport:
     dof: int
     pvalue: float
     passed_1pct: bool
-    bins: int
 
 
 def poisson_gof(counts: CountVector, lam: float, min_expected: float = 5.0) -> GofReport:
@@ -206,8 +201,7 @@ def poisson_gof(counts: CountVector, lam: float, min_expected: float = 5.0) -> G
     stat = float(np.sum((observed - expected) ** 2 / expected))
     dof = len(expected) - 1
     pvalue = float(chi2.sf(stat, dof))
-    return GofReport(statistic=stat, dof=dof, pvalue=pvalue,
-                     passed_1pct=pvalue >= 0.01, bins=len(expected))
+    return GofReport(statistic=stat, dof=dof, pvalue=pvalue, passed_1pct=pvalue >= 0.01)
 
 
 @dataclass(frozen=True)

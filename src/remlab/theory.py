@@ -21,12 +21,12 @@ n <= ``_THIRD_MOMENT_MAX_N`` for triples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, roots_legendre
 
+from . import combinatorics
 from .core import LOG2
 from .errors import NumericalError, UsageError
 from .models import ModelSpec
@@ -63,12 +63,8 @@ def _interval_rule(lo: float, hi: float, nodes: int) -> tuple:
 
 
 def _window_rule(intervals, nodes: int) -> tuple:
-    xs, ws = [], []
-    for lo, hi in intervals:
-        x, w = _interval_rule(lo, hi, nodes)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    rules = [_interval_rule(lo, hi, nodes) for lo, hi in intervals]
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
 
 
 def log_marginal_window_prob(norm: Normalization, window: BorelWindow,
@@ -203,22 +199,8 @@ def _log_triple_probs(b12, b23, b31, norm: Normalization, window: BorelWindow,
 
     x, w = _window_rule(win, nodes)
     a, bn = norm.a_n, norm.b_n
-    x1 = x[:, None, None]
-    x2 = x[None, :, None]
-    x3 = x[None, None, :]
-    basis = np.stack(
-        [
-            (x1 * x1 + 0 * x2 + 0 * x3).ravel(),
-            (0 * x1 + x2 * x2 + 0 * x3).ravel(),
-            (0 * x1 + 0 * x2 + x3 * x3).ravel(),
-            (x1 * x2 + 0 * x3).ravel(),
-            (x1 * x3 + 0 * x2).ravel(),
-            (x2 * x3 + 0 * x1).ravel(),
-            (x1 + 0 * x2 + 0 * x3).ravel(),
-            (0 * x1 + x2 + 0 * x3).ravel(),
-            (0 * x1 + 0 * x2 + x3).ravel(),
-        ]
-    )
+    x1, x2, x3 = (v.ravel() for v in np.meshgrid(x, x, x, indexing="ij"))
+    basis = np.stack([x1 * x1, x2 * x2, x3 * x3, x1 * x2, x1 * x3, x2 * x3, x1, x2, x3])
     ww = (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
 
     regular = ~degenerate
@@ -231,20 +213,9 @@ def _log_triple_probs(b12, b23, b31, norm: Normalization, window: BorelWindow,
     l2 = i12 + i22 + i23
     l3 = i13 + i23 + i33
     s = l1 + l2 + l3
-    coeffs = np.stack(
-        [
-            -0.5 * bn * bn * i11,
-            -0.5 * bn * bn * i22,
-            -0.5 * bn * bn * i33,
-            -bn * bn * i12,
-            -bn * bn * i13,
-            -bn * bn * i23,
-            -a * bn * l1,
-            -a * bn * l2,
-            -a * bn * l3,
-        ],
-        axis=1,
-    )
+    coeffs = np.stack([-0.5 * bn * bn * i11, -0.5 * bn * bn * i22, -0.5 * bn * bn * i33,
+                       -bn * bn * i12, -bn * bn * i13, -bn * bn * i23,
+                       -a * bn * l1, -a * bn * l2, -a * bn * l3], axis=1)
     logp = np.empty(len(det))
     chunk = 128
     with np.errstate(divide="ignore"):  # integral underflow -> -inf term
@@ -348,10 +319,8 @@ def conditional_pair_moments(spec: ModelSpec, cloud, norm: Normalization,
     """
     if spec.coupling.kind != "gaussian":
         raise UsageError("conditional references are available for Gaussian couplings only")
-    from .combinatorics import cloud_pair_census
-
     m1 = len(cloud) * marginal_window_prob(norm, window)
-    census = cloud_pair_census(cloud)
+    census = combinatorics.cloud_pair_census(cloud)
     rs = np.array(sorted(census))
     counts = np.array([census[r] for r in rs], dtype=float)
     win = window.intervals
@@ -373,21 +342,8 @@ def _triple_grid(n: int):
     r12 = (npp_ + npm - nmp - nmm) / n
     r23 = (npp_ - npm - nmp + nmm) / n
     r31 = (npp_ - npm + nmp - nmm) / n
-    d12 = nmp + nmm
-    d23 = npm + nmp
-    d31 = npm + nmm
-    lg = gammaln(np.arange(n + 2))
-
-    def log_comb(a, b):
-        return lg[a + 1] - lg[b + 1] - lg[a - b + 1]
-
-    log_count = (
-        n * LOG2
-        + log_comb(np.full(len(arr), n), d12)
-        + log_comb(npp_ + npm, npp_)
-        + log_comb(nmp + nmm, nmp)
-    )
-    distinct = (d12 > 0) & (d23 > 0) & (d31 > 0)
+    log_count = combinatorics.log_count_columns(n, npp_, npm, nmp, nmm)
+    distinct = (nmp + nmm > 0) & (npm + nmp > 0) & (npm + nmm > 0)
     return r12, r23, r31, log_count, distinct
 
 
@@ -408,22 +364,11 @@ def semianalytic_third_moment(spec: ModelSpec, n: int, m: float, window: BorelWi
     return _sum_exp(log_count[idx] + 3.0 * (m - n) * LOG2 + logp)
 
 
-@dataclass(frozen=True)
-class LimitPrediction:
-    """Asymptotic factorial-moment constant under an m(n) scaling rule."""
-
-    model: str
-    scaling: str
-    eps: float
-    ell: int
-    value: float
-
-
 _SCALING_BY_MODEL = {"npp": "sqrt", "sk": "linear", "pspin": "linear", "rem": None}
 
 
 def limit_constant(model: str, scaling: str, eps: float, ell: int,
-                   c4: float = 0.0) -> LimitPrediction:
+                   c4: float = 0.0) -> float:
     """Limit of m_ell relative to mu(A)^ell (the mu(A) powers cancel).
 
     ell=2 returns the breakdown ratio m2/m1^2; ell=1 the first-moment factor
@@ -463,4 +408,4 @@ def limit_constant(model: str, scaling: str, eps: float, ell: int,
         # only c4 > 1/12 (excess kurtosis below -2) gets here, which no
         # unit-variance law has
         raise UsageError(f"c4={c4} gives a second-moment limit constant {value} below 1")
-    return LimitPrediction(model=model, scaling=scaling, eps=eps, ell=ell, value=value)
+    return value

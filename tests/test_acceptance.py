@@ -91,7 +91,7 @@ def test_criterion_2_sk_universality_regime():
 def test_criterion_3_sk_breakdown_constant():
     t0 = time.perf_counter()
     spec = ModelSpec.sk()
-    limit = limit_constant("sk", "linear", 0.1, 2).value
+    limit = limit_constant("sk", "linear", 0.1, 2)
     ratios = [semianalytic_pair_ratio(spec, n, 0.1 * n, W01) for n in (200, 400, 800)]
     monotone = ratios[0] < ratios[1] < ratios[2] < limit
     close = abs(ratios[2] / limit - 1.0) <= 0.05
@@ -114,7 +114,7 @@ def test_criterion_3_sk_breakdown_constant():
 def test_criterion_4_npp_breakdown_constant():
     t0 = time.perf_counter()
     spec = ModelSpec.npp()
-    limit = limit_constant("npp", "sqrt", 1.0, 2).value
+    limit = limit_constant("npp", "sqrt", 1.0, 2)
     ratios = [
         semianalytic_pair_ratio(spec, n, math.sqrt(n), W01) for n in (100, 400, 1600)
     ]
@@ -143,7 +143,7 @@ def test_criterion_4_npp_breakdown_constant():
 )
 def test_criterion_4_npp_limit_within_5pct():
     spec = ModelSpec.npp()
-    limit = limit_constant("npp", "sqrt", 1.0, 2).value
+    limit = limit_constant("npp", "sqrt", 1.0, 2)
     ratio_1600 = semianalytic_pair_ratio(spec, 1600, 40.0, W01)
     gap = abs(ratio_1600 / limit - 1.0)
     _line("4b", gap <= 0.05,
@@ -284,8 +284,8 @@ def test_criterion_9_nongaussian_desk_scale():
     suite_ok = abs(ratio - 1.0) <= 3 * se and gof.passed_1pct
 
     # documented exact correction factors
-    npp_unif = limit_constant("npp", "sqrt", 1.0, 2, c4=0.05).value
-    sk_lapl = limit_constant("sk", "linear", 0.1, 2, c4=-0.125).value
+    npp_unif = limit_constant("npp", "sqrt", 1.0, 2, c4=0.05)
+    sk_lapl = limit_constant("sk", "linear", 0.1, 2, c4=-0.125)
     formulas_ok = (
         npp_unif == pytest.approx(math.exp(2 * math.log(2) ** 2 * 0.4), rel=1e-12)
         and sk_lapl == pytest.approx(

@@ -203,6 +203,55 @@ def test_main_exit_codes(tmp_path):
     assert main(["comb", "--override", "comb_kind=verify", "--override", "n=99"]) == 2
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--override", "n=abc"], "field n:"),
+    (["simulate", "--override", "n=true"], "field n:"),
+    (["simulate", "--override", "windows=5"], "field windows:"),
+    (["simulate", "--override", "windows=[[0,1,2]]"], "field windows:"),
+    (["simulate", "--override", "windows=[[]]"], "field windows:"),
+    (["simulate", "--override", "m=x"], "field m:"),
+    (["simulate", "--override", "m=NaN"], "field m:"),
+    (["simulate", "--override", "max_ell=2.0"], "field max_ell:"),
+    (["simulate", "--override", "gof=1"], "field gof:"),
+    (["simulate", "--override", "model=mixture", "--override", "mixture=[[2.0,1.0]]"],
+     "field mixture:"),
+    (["theory", "--override", "theory_kind=ratio_scan", "--override", "n_values=[50.7]"],
+     "field n_values:"),
+    (["theory", "--override", "eps_values=[\"a\"]"], "field eps_values:"),
+    (["theory", "--override", "eps_values=[Infinity]"], "field eps_values:"),
+    (["comb", "--override", "triples=[[0,0]]"], "field triples:"),
+    (["comb", "--override", "csv_out=3"], "field csv_out:"),
+])
+def test_config_type_errors_exit_2(argv, field, capsys):
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert "--config" in capsys.readouterr().err
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"model = \xff\xfe\n")
+    assert main(["simulate", "--config", str(binary)]) == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_regimes_use_the_resolved_m():
+    cfg = build_config("comb", {}, {
+        "comb_kind": "regimes", "n": 400, "m_rule": "linear", "epsilon": 0.05,
+        "r_values": [0.1], "triples": [[0.1, 0.1, 0.1]],
+    })
+    records = cmd_comb(cfg)
+    assert [r["m"] for r in records] == [20.0, 20.0]
+
+
+def test_ratio_scan_rejects_more_than_one_window(capsys):
+    argv = ["theory", "--override", "theory_kind=ratio_scan", "--override", "model=sk",
+            "--override", "n_values=[50]", "--override", "windows=[[0,1],[1,2]]"]
+    assert main(argv) == 2
+    assert "field windows:" in capsys.readouterr().err
+
+
 def test_annealed_dense_cloud_finishes():
     # per-replica clouds with m > n/2 are drawn exactly; the distinct-string
     # sampler never returned for n = m = 17

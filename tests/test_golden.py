@@ -105,6 +105,46 @@ SCENARIOS = {
         ["simulate", "--seed", "19"] + _ov(model="sk", n=70, m=6, replicas=600),
         "cdb77893ac2dfd55fb9c0c60c392915fc739a0dca962951fd7ed6b2fd9f2bd20",
     ),
+    # rate, pair/triple count and regime records, each with pairs and triples
+    "comb-rates": (
+        ["comb"] + _ov(comb_kind="rates", r_values="[0,0.25,0.5,1]",
+                       triples="[[0,0,0],[0.5,0.25,0.25],[1,0.5,0.5]]"),
+        "a54d6182cbab329f499b118f8b7c4539cc0028887c24001df18bcfbfdd325a29",
+    ),
+    "comb-counts": (
+        ["comb"] + _ov(comb_kind="counts", n=8, r_values="[0,0.25,0.5,1]",
+                       triples="[[0,0,0],[0.5,0.25,0.25],[0.1,0.1,0.1]]"),
+        "780b09298efaa5f10cfffa3d3798b318620cfa988de43933b3f5bc2bc58e4b57",
+    ),
+    "comb-regimes": (
+        ["comb"] + _ov(comb_kind="regimes", n=100, m=10, r_values="[0,0.2,0.3,0.4,0.9]",
+                       triples="[[0,0,0],[0.2,0.1,0.1],[0.3,0.2,0.2],[0.5,0.5,0.5]]"),
+        "dda901bd9a1f1c7bf4e9c3d1b62c5b36bcaec1edc8b3d1876918c0438d6a089a",
+    ),
+}
+
+# limit scans with a CSV table: (argv, NDJSON digest, CSV digest). csv_out is
+# relative, so the embedded config does not depend on the temporary directory.
+LIMIT_SCANS = {
+    "theory-sk-limit-scan": (
+        ["theory"] + _ov(model="sk", theory_kind="limit_scan", m_rule="linear",
+                         eps_values="[0,0.05,0.1,0.15]", csv_out="scan.csv"),
+        "37abf30c9e1ea069d8a2a4cc35e5b0cb333c9eefdc99f79f7464d4847785db86",
+        "c458c8fee05640c996e4e6355df2607424e73da3cfceccae525453b6bba9604b",
+    ),
+    "theory-rem-limit-scan-ell1": (
+        ["theory"] + _ov(model="rem", theory_kind="limit_scan", ell=1,
+                         eps_values="[0,1,2.5]", csv_out="scan.csv"),
+        "399e3b61d82b25aceaeb8726317cba4173a63afd2360b154099681e7a29710ce",
+        "74f9235f6ca6170bcf1ed29b672d1e4f51fe93329e61a4ec720ae615e31300cb",
+    ),
+    # non-Gaussian couplings take the c4 branch of limit_constant
+    "theory-npp-uniform-limit-scan": (
+        ["theory"] + _ov(model="npp", coupling="uniform", theory_kind="limit_scan",
+                         m_rule="sqrt", eps_values="[0.5,1,1.5]", csv_out="scan.csv"),
+        "6e33d17578d14d1254d433638ddf9afb0574ffc189f160fb79dc0284981e211f",
+        "e5ff6b976ba66bdb13c073c871f0441c200812c642cfeab04c2f1f8a5087b73e",
+    ),
 }
 
 
@@ -118,6 +158,14 @@ def _digest(argv, tmp_path) -> str:
 def test_golden_cli_output(name, tmp_path):
     argv, expected = SCENARIOS[name]
     assert _digest(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_SCANS))
+def test_golden_limit_scan_output(name, tmp_path, monkeypatch):
+    argv, expected, expected_csv = LIMIT_SCANS[name]
+    monkeypatch.chdir(tmp_path)
+    assert _digest(argv, tmp_path) == expected
+    assert hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest() == expected_csv
 
 
 def test_golden_third_moment_summation_order():

@@ -291,30 +291,30 @@ def test_sk_bulk_third_moment_factorization_scale():
 
 
 def test_limit_constants_gaussian():
-    assert limit_constant("sk", "linear", 0.1, 2).value == pytest.approx(
+    assert limit_constant("sk", "linear", 0.1, 2) == pytest.approx(
         1.1762743192044305, rel=1e-12
     )
-    assert limit_constant("npp", "sqrt", 1.0, 2).value == pytest.approx(
+    assert limit_constant("npp", "sqrt", 1.0, 2) == pytest.approx(
         2.614063815405198, rel=1e-12
     )
     for model, scaling in (("sk", "linear"), ("npp", "sqrt"), ("pspin", "linear")):
-        assert limit_constant(model, scaling, 0.0, 2).value == 1.0
-    assert limit_constant("pspin", "linear", 0.1, 2).value == 1.0
-    assert limit_constant("rem", "sqrt", 3.0, 2).value == 1.0
+        assert limit_constant(model, scaling, 0.0, 2) == 1.0
+    assert limit_constant("pspin", "linear", 0.1, 2) == 1.0
+    assert limit_constant("rem", "sqrt", 3.0, 2) == 1.0
 
 
 def test_limit_constants_nongaussian():
     # ratio forms with the quartic-cumulant correction
-    assert limit_constant("npp", "sqrt", 1.0, 2, c4=0.05).value == pytest.approx(
+    assert limit_constant("npp", "sqrt", 1.0, 2, c4=0.05) == pytest.approx(
         math.exp(2 * LOG2**2 * (1 - 12 * 0.05)), rel=1e-12
     )
-    assert limit_constant("npp", "sqrt", 1.0, 2, c4=-0.125).value == pytest.approx(
+    assert limit_constant("npp", "sqrt", 1.0, 2, c4=-0.125) == pytest.approx(
         math.exp(2 * LOG2**2 * (1 + 12 * 0.125)), rel=1e-12
     )
-    assert limit_constant("sk", "linear", 0.1, 2, c4=0.05).value == pytest.approx(
+    assert limit_constant("sk", "linear", 0.1, 2, c4=0.05) == pytest.approx(
         math.exp(-24 * 0.05 * 0.01 * LOG2**2) / math.sqrt(1 - 0.4 * LOG2), rel=1e-12
     )
-    assert limit_constant("npp", "sqrt", 1.0, 1, c4=0.05).value == pytest.approx(
+    assert limit_constant("npp", "sqrt", 1.0, 1, c4=0.05) == pytest.approx(
         math.exp(-4 * 0.05 * LOG2**2), rel=1e-12
     )
 
@@ -334,10 +334,10 @@ def test_limit_constants_domain():
 def test_limit_ratio_always_at_least_one():
     for eps in (0.0, 0.05, 0.1, 0.17):
         for c4 in (0.0, 0.05, -0.125):
-            assert limit_constant("sk", "linear", eps, 2, c4=c4).value >= 1.0 - 1e-12
+            assert limit_constant("sk", "linear", eps, 2, c4=c4) >= 1.0 - 1e-12
     for eps in (0.0, 0.5, 1.0, 2.0):
         for c4 in (0.0, 0.05, -0.125):
-            assert limit_constant("npp", "sqrt", eps, 2, c4=c4).value >= 1.0 - 1e-12
+            assert limit_constant("npp", "sqrt", eps, 2, c4=c4) >= 1.0 - 1e-12
 
 
 def test_limit_constant_rejects_impossible_c4():
