@@ -19,7 +19,7 @@ from .combinatorics import (
     rate_j2,
     solve_ndelta,
 )
-from .core import Cloud, OverlapGrid, SpinConfig, delta_n, hamming, overlap, sample_cloud
+from .core import Cloud, delta_n, grid_index, overlap_grid, sample_cloud
 from .errors import NumericalError, UsageError
 from .gibbs import pd_compare, pd_moment, sample_pd_weights
 from .models import (

@@ -128,15 +128,14 @@ class ExperimentConfig:
 
 
 def _jsonify(obj):
+    """Plain JSON values: numpy scalars and arrays unpacked, non-finite floats as None."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and math.isnan(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 
@@ -489,7 +488,7 @@ _DISPATCH = {
 def run(cfg: ExperimentConfig, progress: bool = False) -> str:
     """Run a command and return its NDJSON output as one string."""
     records = _DISPATCH[cfg.command](cfg, progress=progress)
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    return "".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records)
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .core import LOG2, Cloud, OverlapGrid
+from .core import LOG2, Cloud, grid_index, overlap_grid
 from .errors import UsageError
 
 _BRUTE_FORCE_MAX_N = 14
@@ -112,7 +112,7 @@ def count_v2_exact(n: int, r: float) -> int:
     """
     if r < -1e-12:
         raise UsageError("count_v2_exact takes r = |R| >= 0")
-    k = OverlapGrid(n).k_of(abs(r))
+    k = grid_index(n, abs(r))
     if r > 1e-12:
         return (1 << n) * 2 * math.comb(n, k)
     return (1 << n) * math.comb(n, k)
@@ -120,7 +120,7 @@ def count_v2_exact(n: int, r: float) -> int:
 
 def log_count_v2(n: int, r: float) -> float:
     """Natural log of count_v2_exact, usable far beyond big-integer comfort."""
-    k = OverlapGrid(n).k_of(abs(r))
+    k = grid_index(n, abs(r))
     base = n * LOG2 + _log_comb(n, k)
     return float(base + (LOG2 if r > 1e-12 else 0.0))
 
@@ -253,7 +253,7 @@ def brute_force_pair_census(n: int) -> dict:
     for start in range(0, len(codes), chunk):
         block = codes[start : start + chunk, None] ^ codes[None, :]
         hist += np.bincount(pop[block].ravel(), minlength=n + 1)
-    grid = OverlapGrid(n).values
+    grid = overlap_grid(n)
     census: dict[float, int] = {}
     for k, c in enumerate(hist):
         if c:
@@ -281,7 +281,7 @@ def brute_force_triple_census(n: int) -> dict:
         d23 = pop[sub[:, None] ^ codes[None, :]].astype(np.int64)
         key = (d2[start : start + chunk, None] * size + d23) * size + d2[None, :]
         hist += np.bincount(key.ravel(), minlength=hist.size)
-    grid = OverlapGrid(n).values
+    grid = overlap_grid(n)
     census: dict[tuple, int] = {}
     nonzero = np.nonzero(hist)[0]
     for code in nonzero:
@@ -300,5 +300,5 @@ def cloud_pair_census(cloud: Cloud) -> dict:
     k = np.rint((1.0 - gram) * cloud.n / 2.0).astype(np.int64)
     np.fill_diagonal(k, -1)
     hist = np.bincount(k[k >= 0].ravel(), minlength=cloud.n + 1)
-    grid = OverlapGrid(cloud.n).values
+    grid = overlap_grid(cloud.n)
     return {grid[i]: int(c) for i, c in enumerate(hist) if c}

@@ -1,15 +1,15 @@
-"""Bit-level spin configurations, overlap arithmetic, and random-cloud sampling.
+"""Packed random clouds on the hypercube, the overlap grid, and cloud sampling.
 
-A configuration on the hypercube {-1,+1}^n is a ``SpinConfig``, bit-packed in
-a Python integer (bit i set means spin i is +1), so Hamming distances reduce
-to ``(a ^ b).bit_count()`` and overlaps are exact rationals k/n realized in
-floating point. A ``Cloud`` packs its members' bits into one sorted uint8 array.
+A configuration sigma in {-1,+1}^n is a little-endian row of ceil(n/8) uint8
+bytes: bit i (bit i % 8 of byte i // 8) set means spin i is +1. ``from_bits``,
+``sign_matrix`` and both samplers share this convention, so a row read as a
+little-endian integer is the member's bit pattern, and two members at Hamming
+distance k have overlap 1 - 2k/n, a value of ``overlap_grid(n)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,89 +27,34 @@ _SCAN_CHUNK = 1 << 20
 _SIGN_MATRIX_MAX_BYTES = 2 << 30
 
 
-@dataclass(frozen=True, order=True)
-class SpinConfig:
-    """One configuration sigma in {-1,+1}^n, bit-packed (bit set <=> spin +1)."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise UsageError(f"dimension must be positive, got n={self.n}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise UsageError("bits outside the first n positions must be zero")
-
-    @classmethod
-    def from_signs(cls, signs) -> "SpinConfig":
-        signs = np.asarray(signs)
-        raw = np.packbits(signs > 0, bitorder="little").tobytes()
-        return cls(n=len(signs), bits=int.from_bytes(raw, "little"))
-
-    def to_signs(self) -> np.ndarray:
-        """Return the configuration as an int8 vector of +-1."""
-        nbytes = (self.n + 7) // 8
-        raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little", count=self.n)
-        return (2 * bits.astype(np.int8) - 1)
-
-    def complement(self) -> "SpinConfig":
-        mask = (1 << self.n) - 1
-        return SpinConfig(n=self.n, bits=self.bits ^ mask)
+def overlap_grid(n: int) -> np.ndarray:
+    """The n+1 values 1 - 2k/n an overlap can take at dimension n, k = 0..n."""
+    # one rounding of an integer numerator, as in Cloud.overlap_matrix: equal bit for bit
+    return (n - 2.0 * np.arange(n + 1)) / n
 
 
-def hamming(a: SpinConfig, b: SpinConfig) -> int:
-    """Number of spins where a and b disagree."""
-    if a.n != b.n:
-        raise UsageError(f"dimension mismatch: {a.n} vs {b.n}")
-    return (a.bits ^ b.bits).bit_count()
-
-
-def overlap(a: SpinConfig, b: SpinConfig) -> float:
-    """Normalized inner product R(a, b) = 1 - 2 d_H / n, exact on the grid."""
-    d = hamming(a, b)
-    return (a.n - 2 * d) / a.n
-
-
-@dataclass(frozen=True)
-class OverlapGrid:
-    """The n+1 values {1 - 2k/n} an overlap can take at dimension n."""
-
-    n: int
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        # same expression as overlap(): integer numerator, one rounding step,
-        # so grid values compare equal to computed overlaps bit for bit
-        return (self.n - 2.0 * np.arange(self.n + 1)) / self.n
-
-    def k_of(self, r: float) -> int:
-        """Map a grid overlap to its Hamming count k; reject off-grid values."""
-        k = (1.0 - r) * self.n / 2.0
-        ki = int(round(k))
-        if not 0 <= ki <= self.n or abs(k - ki) > 1e-9:
-            raise UsageError(f"overlap {r} is not on the grid for n={self.n}")
-        return ki
+def grid_index(n: int, r: float) -> int:
+    """Map a grid overlap to its Hamming count k; reject off-grid values."""
+    k = (1.0 - r) * n / 2.0
+    ki = int(round(k))
+    if not 0 <= ki <= n or abs(k - ki) > 1e-9:
+        raise UsageError(f"overlap {r} is not on the grid for n={n}")
+    return ki
 
 
 class Cloud:
     """A sorted set of distinct configurations with target mean size 2^m.
 
-    ``packed`` is a read-only (|X|, ceil(n/8)) uint8 array: one little-endian row
-    of bits per member, sorted by integer value. ``members`` is such an array or
-    a sequence of SpinConfig.
+    ``packed`` is a read-only (|X|, ceil(n/8)) uint8 array: one row per
+    member, sorted by integer value. ``members`` must be such an array.
     """
 
-    def __init__(self, n: int, m: float, members) -> None:
+    def __init__(self, n: int, m: float, members: np.ndarray) -> None:
         nbytes = (n + 7) // 8
-        if not isinstance(members, np.ndarray):
-            if any(cfg.n != n for cfg in members):
-                raise UsageError("all cloud members must share the cloud dimension")
-            raw = b"".join(cfg.bits.to_bytes(nbytes, "little") for cfg in members)
-            members = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
-        if (members.dtype != np.uint8 or members.shape[1:] != (nbytes,)
-                or np.any(members[:, -1] >> (n % 8 or 8))):
-            raise UsageError(f"cloud rows must be (|X|, {nbytes}) uint8 with no bit at or past n")
+        if (n < 1 or not isinstance(members, np.ndarray) or members.dtype != np.uint8
+                or members.shape[1:] != (nbytes,) or np.any(members[:, -1] >> (n % 8 or 8))):
+            raise UsageError(f"a cloud at n={n} takes n >= 1 and a (|X|, {nbytes}) uint8 "
+                             "array with no bit at or past n")
         if not np.array_equal(_sorted_distinct(members), members):
             raise UsageError("cloud members must be distinct and sorted by bit pattern")
         self.n, self.m, self.packed = n, m, members.copy()
@@ -126,17 +71,16 @@ class Cloud:
     def __len__(self) -> int:
         return len(self.packed)
 
-    @property
-    def members(self) -> tuple:
-        """The members as SpinConfig objects, built on each access."""
-        return tuple(SpinConfig(n=self.n, bits=int.from_bytes(row.tobytes(), "little"))
-                     for row in self.packed)
-
     @classmethod
     def from_bits(cls, n: int, bits, m: float | None = None) -> "Cloud":
-        members = tuple(SpinConfig(n=n, bits=int(b)) for b in sorted(set(bits)))
-        m = math.log2(max(len(members), 1)) if m is None else m
-        return cls(n=n, m=float(m), members=members)
+        """The cloud of the distinct integers in ``bits``, each in [0, 2^n)."""
+        values = sorted({int(b) for b in bits})
+        if n < 1 or (values and (values[0] < 0 or values[-1] >> n)):
+            raise UsageError(f"from_bits needs n >= 1 and every value in [0, 2^n), got n={n}")
+        nbytes = (n + 7) // 8
+        rows = b"".join(b.to_bytes(nbytes, "little") for b in values)
+        m = math.log2(max(len(values), 1)) if m is None else m
+        return cls(n, float(m), np.frombuffer(rows, dtype=np.uint8).reshape(-1, nbytes))
 
     @cached_property
     def sign_matrix(self) -> np.ndarray:

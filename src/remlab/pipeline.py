@@ -41,22 +41,27 @@ def experiment_cloud(n: int, m: float, seed: int, mode: str = "auto") -> Cloud:
     return sample_cloud(n, m, derive_rng(seed, NS_CLOUD, 0), mode=mode)
 
 
-def _quenched_block(spec: ModelSpec, cloud: Cloud, sampler: str,
-                    chol: CholeskySampler | None, seed: int, replicas: range) -> np.ndarray:
+def _cholesky_or_none(spec: ModelSpec, cloud: Cloud) -> CholeskySampler | None:
+    """The cloud's kernel factor when the Cholesky route is picked, else None."""
+    return CholeskySampler(spec, cloud) if pick_sampler(spec, cloud) == "cholesky" else None
+
+
+def _quenched_block(spec: ModelSpec, cloud: Cloud, chol: CholeskySampler | None,
+                    seed: int, replicas: range) -> np.ndarray:
     """Energies for one block, shape (|X|, len(replicas)), column per replica.
 
     Each replica is drawn into a row of a C-contiguous (B, |X|) buffer; the
-    block is that buffer's transpose (mapped through the factor on the
-    Cholesky route).
+    block is that buffer's transpose (mapped through the factor ``chol`` on
+    the Cholesky route; ``chol`` is None on the explicit route).
     """
     rows = np.empty((len(replicas), len(cloud)))
     for row, r in zip(rows, replicas):
         rng = derive_rng(seed, NS_REPLICA, r)
-        if sampler == "cholesky" or spec.is_rem:
+        if chol is not None or spec.is_rem:
             rng.standard_normal(out=row)
         else:
             row[:] = sample_explicit(spec, cloud, rng)
-    return chol.sample_block(rows.T) if sampler == "cholesky" else rows.T
+    return rows.T if chol is None else chol.sample_block(rows.T)
 
 
 def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -> list:
@@ -70,10 +75,8 @@ def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -
     for r in replicas:
         rep_cloud = sample_cloud(cloud.n, cloud.m, derive_rng(seed, NS_CLOUD, r + 1),
                                  mode=cloud_mode)
-        sampler = pick_sampler(spec, rep_cloud)
-        chol = CholeskySampler(spec, rep_cloud) if sampler == "cholesky" else None
-        block = _quenched_block(spec, rep_cloud, sampler, chol, seed, range(r, r + 1))
-        cols.append(block[:, 0])
+        chol = _cholesky_or_none(spec, rep_cloud)
+        cols.append(_quenched_block(spec, rep_cloud, chol, seed, range(r, r + 1))[:, 0])
     return cols
 
 
@@ -119,11 +122,10 @@ def _iter_blocks(spec: ModelSpec, cloud: Cloud, seed: int, replicas: int,
             return reduce(_annealed_block(spec, cloud, seed, block))
         threads = 1
     else:
-        sampler = pick_sampler(spec, cloud)
-        chol = CholeskySampler(spec, cloud) if sampler == "cholesky" else None
+        chol = _cholesky_or_none(spec, cloud)
 
         def work(block: range):
-            return reduce(_quenched_block(spec, cloud, sampler, chol, seed, block))
+            return reduce(_quenched_block(spec, cloud, chol, seed, block))
 
     for reduced, block in zip(_map_in_order(work, blocks, threads), blocks):
         if progress:

@@ -3,11 +3,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remlab.cli import (
+    _jsonify,
     build_config,
     cmd_comb,
     cmd_gibbs,
@@ -167,6 +169,24 @@ def test_cmd_comb_records():
     assert verify[0]["pairs_matched"] and verify[0]["triples_matched"]
     with pytest.raises(UsageError):
         cmd_comb(build_config("comb", {}, {"comb_kind": "verify", "n": 20}))
+
+
+def _strict_json(line):
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in a record")
+    return json.loads(line, parse_constant=refuse)
+
+
+def test_records_are_strict_json():
+    # J(1.5) and J2 of an inconsistent sign triple are +inf; both were once
+    # written as bare Infinity, which strict JSON parsers reject
+    cfg = build_config("comb", {}, {
+        "comb_kind": "rates", "r_values": [1.5], "triples": [[1, 1, -1]],
+    })
+    rate, triple = (_strict_json(line) for line in run(cfg).splitlines())
+    assert rate["j"] is None and triple["j2"] is None
+    assert _jsonify(np.float64("nan")) is None
+    assert _jsonify([np.float32("-inf"), np.array([1.0, np.nan])]) == [None, [1.0, None]]
 
 
 def test_cmd_gibbs_record():

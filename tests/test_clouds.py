@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from remlab.combinatorics import cloud_pair_census
 from remlab.core import (
     _SCAN_CHUNK,
     Cloud,
-    SpinConfig,
     _sample_exact,
     _sample_large_n,
+    grid_index,
     sample_cloud,
 )
 from remlab.errors import UsageError
@@ -44,6 +45,11 @@ def _reference_large_n(n, m, rng, rounds=None):
 
 def _ints(packed):
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _rows(n, ints):
+    nbytes = (n + 7) // 8
+    return np.array([list(b.to_bytes(nbytes, "little")) for b in ints], dtype=np.uint8)
 
 
 def _same_draws(new, reference, seed, *args):
@@ -95,11 +101,11 @@ def test_packed_members_are_validated():
     with pytest.raises(UsageError):
         Cloud(n=5, m=1.0, members=np.array([[3], [3]], dtype=np.uint8))
     # beyond 64 bits the order runs over several words
-    low, high = SpinConfig(70, 1 << 3), SpinConfig(70, 1 << 65)
+    low, high = 1 << 3, 1 << 65
     with pytest.raises(UsageError):
-        Cloud(n=70, m=1.0, members=(high, low))
-    cloud = Cloud(n=70, m=1.0, members=(low, high))
-    assert [c.bits for c in cloud.members] == [1 << 3, 1 << 65]
+        Cloud(n=70, m=1.0, members=_rows(70, [high, low]))
+    cloud = Cloud(n=70, m=1.0, members=_rows(70, [low, high]))
+    assert _ints(cloud.packed) == [low, high]
     assert not cloud.packed.flags.writeable
 
 
@@ -115,11 +121,35 @@ def test_sampled_cloud_invariants(n, density, seed, mode):
         cloud = sample_cloud(n, m, np.random.default_rng(seed), mode=mode)
     except UsageError:  # fewer than two members twice, or m > n/2 on large_n
         return
-    bits = [c.bits for c in cloud.members]
+    bits = _ints(cloud.packed)
     assert bits == sorted(set(bits))
     assert all(0 <= b < (1 << n) for b in bits)
     assert cloud.packed.shape == (len(cloud), (n + 7) // 8)
     signs = cloud.sign_matrix
     assert signs.shape == (len(cloud), n)
-    for row, cfg in zip(signs, cloud.members):
-        assert np.array_equal(row, cfg.to_signs())
+    for row, b in zip(signs, bits):
+        assert row.tolist() == [1.0 if b >> i & 1 else -1.0 for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 130), data=st.data())
+def test_from_bits_matches_int_oracle(n, data):
+    # n up to 130 makes rows span several 64-bit words
+    values = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    cloud = Cloud.from_bits(n, values)
+    bits = _ints(cloud.packed)
+    assert bits == sorted(set(values))
+    gram = cloud.overlap_matrix()
+    for i, a in enumerate(bits):
+        for j, b in enumerate(bits):
+            d = (a ^ b).bit_count()
+            assert gram[i, j] == (n - 2 * d) / n
+            assert grid_index(n, gram[i, j]) == d
+    if len(bits) >= 2:
+        assert sum(cloud_pair_census(cloud).values()) == len(bits) * (len(bits) - 1)
+
+
+@pytest.mark.parametrize("n, value", [(5, -1), (5, 1 << 5), (0, 0)])
+def test_from_bits_refuses_values_off_the_cube(n, value):
+    with pytest.raises(UsageError):
+        Cloud.from_bits(n, [value])

@@ -19,7 +19,7 @@ from remlab.combinatorics import (
     rate_j2_xyz,
     solve_ndelta,
 )
-from remlab.core import Cloud, OverlapGrid, sample_cloud
+from remlab.core import Cloud, grid_index, overlap_grid, sample_cloud
 from remlab.errors import UsageError
 
 LOG2 = math.log(2.0)
@@ -84,7 +84,7 @@ def test_solve_ndelta_examples():
 def test_solve_ndelta_reconstructs_overlaps():
     rng = np.random.default_rng(1)
     n = 12
-    grid = OverlapGrid(n).values
+    grid = overlap_grid(n)
     for _ in range(100):
         t = TripleOverlap(*rng.choice(grid, 3))
         npp_, npm, nmp, nmm = solve_ndelta(n, t)
@@ -106,7 +106,7 @@ def test_count_v2_examples():
 
 def test_count_v2_total_mass():
     for n in range(1, 11):
-        grid = OverlapGrid(n).values
+        grid = overlap_grid(n)
         total = sum(count_v2_exact(n, r) for r in sorted({abs(v) for v in grid}))
         assert total == 4**n
 
@@ -150,7 +150,7 @@ def test_triple_census_matches_full_enumeration():
 
 def test_log_counts_agree_with_exact():
     for n in (8, 40, 200):
-        grid = OverlapGrid(n).values
+        grid = overlap_grid(n)
         for r in (grid[1], grid[n // 2], grid[n // 4]):
             assert log_count_v2(n, abs(r)) == pytest.approx(
                 math.log(count_v2_exact(n, abs(r))), rel=1e-12
@@ -163,7 +163,7 @@ def test_log_counts_agree_with_exact():
 def test_pair_count_lower_bound():
     # |pairs with |R| <= R| / 4^n >= 1 - 2 exp(-n R^2 / 8) once n R^2 >= 64
     for n, r in ((64, 1.0 * 64 / 64), (128, 0.75)):
-        grid = OverlapGrid(n).values
+        grid = overlap_grid(n)
         r_on_grid = grid[np.argmin(np.abs(grid - r))]
         above = sum(
             count_v2_exact(n, abs(v)) for v in sorted({abs(v) for v in grid})
@@ -229,12 +229,11 @@ def test_cloud_pair_census_mass_and_expectation():
 
     # mean census over seeds vs p^2 * (exact signed pair count)
     n, m, seeds = 20, 8.0, 200
-    grid = OverlapGrid(n)
     totals = np.zeros((seeds, n + 1))
     for s in range(seeds):
         c = sample_cloud(n, m, np.random.default_rng(500 + s))
         for r, cnt in cloud_pair_census(c).items():
-            totals[s, grid.k_of(r)] = cnt
+            totals[s, grid_index(n, r)] = cnt
     p2 = 2.0 ** (2 * (m - n))
     for k in range(1, n + 1):
         expected = p2 * (1 << n) * math.comb(n, k)

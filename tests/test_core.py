@@ -5,77 +5,35 @@ import sys
 import numpy as np
 import pytest
 
-from remlab.core import Cloud, OverlapGrid, SpinConfig, delta_n, hamming, overlap, sample_cloud
+from remlab.core import Cloud, delta_n, grid_index, overlap_grid, sample_cloud
 from remlab.errors import UsageError
 
 LOG2 = math.log(2.0)
 
 
-def test_overlap_identity_and_antipodal():
-    rng = np.random.default_rng(1)
-    for n in (1, 5, 8, 33):
-        signs = np.where(rng.random(n) < 0.5, -1, 1)
-        a = SpinConfig.from_signs(signs)
-        assert overlap(a, a) == 1.0
-        assert hamming(a, a) == 0
-        assert overlap(a, a.complement()) == -1.0
-        assert hamming(a, a.complement()) == n
-
-
-def test_overlap_small_example():
-    a = SpinConfig.from_signs([1, 1, 1, 1])
-    b = SpinConfig.from_signs([1, 1, -1, -1])
-    assert hamming(a, b) == 2
-    assert overlap(a, b) == 0.0
-
-
-def test_overlap_matches_per_bit_loop():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        n = int(rng.integers(1, 40))
-        sa = np.where(rng.random(n) < 0.5, -1, 1)
-        sb = np.where(rng.random(n) < 0.5, -1, 1)
-        a, b = SpinConfig.from_signs(sa), SpinConfig.from_signs(sb)
-        d = sum(1 for x, y in zip(sa, sb) if x != y)
-        assert hamming(a, b) == d
-        assert overlap(a, b) == (n - 2 * d) / n
+def _ints(packed):
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def test_overlap_result_is_on_grid():
     rng = np.random.default_rng(3)
-    grid = OverlapGrid(10)
-    for _ in range(20):
-        a = SpinConfig(n=10, bits=int(rng.integers(0, 1 << 10)))
-        b = SpinConfig(n=10, bits=int(rng.integers(0, 1 << 10)))
-        r = overlap(a, b)
-        # bit-for-bit membership, not approximate
-        assert r in set(grid.values.tolist())
-        assert grid.k_of(r) == hamming(a, b)
-
-
-def test_dimension_mismatch_rejected():
-    a = SpinConfig.from_signs([1, 1])
-    b = SpinConfig.from_signs([1, 1, 1])
-    with pytest.raises(UsageError):
-        hamming(a, b)
-    with pytest.raises(UsageError):
-        overlap(a, b)
-
-
-def test_spinconfig_validation_and_roundtrip():
-    with pytest.raises(UsageError):
-        SpinConfig(n=3, bits=1 << 3)
-    signs = [1, -1, -1, 1, 1, -1, 1]
-    cfg = SpinConfig.from_signs(signs)
-    assert cfg.to_signs().tolist() == signs
+    grid = set(overlap_grid(10).tolist())
+    cloud = Cloud.from_bits(10, rng.integers(0, 1 << 10, size=20).tolist())
+    bits = _ints(cloud.packed)
+    gram = cloud.overlap_matrix()
+    for i, a in enumerate(bits):
+        for j, b in enumerate(bits):
+            # bit-for-bit membership, not approximate
+            assert gram[i, j] in grid
+            assert grid_index(10, gram[i, j]) == (a ^ b).bit_count()
 
 
 def test_overlap_grid_shape():
-    grid = OverlapGrid(8)
-    assert grid.values[0] == 1.0 and grid.values[-1] == -1.0
-    assert np.all(np.diff(grid.values) == -2.0 / 8)
+    grid = overlap_grid(8)
+    assert grid[0] == 1.0 and grid[-1] == -1.0
+    assert np.all(np.diff(grid) == -2.0 / 8)
     with pytest.raises(UsageError):
-        grid.k_of(0.3)
+        grid_index(8, 0.3)
 
 
 def test_delta_n_values():
@@ -94,15 +52,18 @@ def test_delta_n_values():
 
 def test_cloud_invariants():
     with pytest.raises(UsageError):
-        Cloud(n=4, m=1.0, members=(SpinConfig(4, 3), SpinConfig(4, 3)))
+        Cloud(n=4, m=1.0, members=np.array([[3], [3]], dtype=np.uint8))
     with pytest.raises(UsageError):
-        Cloud(n=4, m=1.0, members=(SpinConfig(4, 5), SpinConfig(4, 3)))
+        Cloud(n=4, m=1.0, members=np.array([[5], [3]], dtype=np.uint8))
+    with pytest.raises(UsageError):  # a plain sequence is not a packed array
+        Cloud(n=4, m=1.0, members=[3, 5])
     cloud = Cloud.from_bits(4, [9, 3, 12])
-    assert [c.bits for c in cloud.members] == [3, 9, 12]
+    bits = _ints(cloud.packed)
+    assert bits == [3, 9, 12]
     gram = cloud.overlap_matrix()
-    for i, a in enumerate(cloud.members):
-        for j, b in enumerate(cloud.members):
-            assert gram[i, j] == overlap(a, b)
+    for i, a in enumerate(bits):
+        for j, b in enumerate(bits):
+            assert gram[i, j] == (4 - 2 * (a ^ b).bit_count()) / 4
 
 
 def test_sample_cloud_saturation():
@@ -113,16 +74,16 @@ def test_sample_cloud_saturation():
 def test_sample_cloud_exact_deterministic():
     a = sample_cloud(16, 6.0, np.random.default_rng(123))
     b = sample_cloud(16, 6.0, np.random.default_rng(123))
-    assert [c.bits for c in a.members] == [c.bits for c in b.members]
+    assert np.array_equal(a.packed, b.packed)
 
 
 def test_sample_cloud_large_n_deterministic_and_valid():
     rng = np.random.default_rng(9)
     cloud = sample_cloud(100, 10.0, rng)
     assert abs(len(cloud) - 1024) < 5 * 32  # Poisson(1024) within 5 sigma
-    assert all(c.bits < (1 << 100) for c in cloud.members)
+    assert all(b < (1 << 100) for b in _ints(cloud.packed))
     again = sample_cloud(100, 10.0, np.random.default_rng(9))
-    assert [c.bits for c in again.members] == [c.bits for c in cloud.members]
+    assert np.array_equal(again.packed, cloud.packed)
 
 
 def test_sample_cloud_mode_contracts():

@@ -30,3 +30,22 @@ def test_traced_boundaries_exist():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _, _ in table
                if attr not in owner.__dict__]
     assert not missing, missing
+
+
+def test_no_unused_imports():
+    # a deletion that leaves its import behind fails here; __init__ only re-exports
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert not unused, unused
