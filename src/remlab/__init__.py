@@ -7,7 +7,6 @@ Poisson-Dirichlet structure of low-temperature Gibbs weights.
 
 from .combinatorics import (
     RegimeLabel,
-    TripleOverlap,
     brute_force_pair_census,
     brute_force_triple_census,
     classify_pair_regime,

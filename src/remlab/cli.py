@@ -271,6 +271,10 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
     gaussian = spec.coupling.kind == "gaussian"
     quenched = cfg.mode == "quenched"
     limits = _limit_factors(cfg, spec)
+    # what a quenched run actually estimates: moments conditional on the
+    # realized cloud (the annealed reference differs at O(2^(-m/2)))
+    conditional = (theory.conditional_pair_moments(spec, cloud, norm, windows)
+                   if quenched and gaussian else None)
     records = []
     for wi, window in enumerate(windows):
         cv = CountVector(counts[:, wi])
@@ -284,11 +288,7 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
             sa[2] = theory.semianalytic_moment(spec, cfg.n, m, window, 2)
         if gaussian and cfg.n <= 32:
             sa[3] = theory.semianalytic_third_moment(spec, cfg.n, m, window)
-        # what a quenched run actually estimates: moments conditional on the
-        # realized cloud (the annealed reference differs at O(2^(-m/2)))
-        cond = {}
-        if quenched and gaussian:
-            cond[1], cond[2] = theory.conditional_pair_moments(spec, cloud, norm, window)
+        cond = dict(enumerate(conditional[wi], 1)) if conditional else {}
         for ell in range(1, cfg.max_ell + 1):
             rep = factorial_moment(cv, ell)
             ref_sa = sa.get(ell)
@@ -415,12 +415,12 @@ def cmd_comb(cfg: ExperimentConfig, progress: bool = False) -> list:
     cross-checks the closed-form counts against brute-force censuses."""
     records = []
     n = cfg.n
-    trips = [(t, comb.TripleOverlap(*map(float, t))) for t in cfg.triples]
+    trips = [(t, tuple(map(float, t))) for t in cfg.triples]
     if cfg.comb_kind == "rates":
         for r in cfg.r_values:
             records.append(_record(cfg, "rate", {"r": r, "j": comb.rate_j(float(r))}))
         for t, trip in trips:
-            records.append(_record(cfg, "rate_triple", {"triple": t, "j2": comb.rate_j2(trip)}))
+            records.append(_record(cfg, "rate_triple", {"triple": t, "j2": comb.rate_j2(*trip)}))
         return records
     if cfg.comb_kind == "counts":
         for r in cfg.r_values:
@@ -457,7 +457,7 @@ def cmd_comb(cfg: ExperimentConfig, progress: bool = False) -> list:
         if n <= 12:
             tcensus = comb.brute_force_triple_census(n)
             triple_ok = all(
-                comb.count_w3_exact(n, comb.TripleOverlap(*key)) == c
+                comb.count_w3_exact(n, key) == c
                 for key, c in tcensus.items()
             ) and sum(tcensus.values()) == 8**n
             payload.update({"triples_matched": bool(triple_ok),

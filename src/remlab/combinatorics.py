@@ -16,7 +16,6 @@ from .core import LOG2, Cloud, grid_index, overlap_grid
 from .errors import UsageError
 
 _BRUTE_FORCE_MAX_N = 14
-_POP16 = None  # lazy 16-bit popcount table for the census loops
 
 # Smallest round constants satisfying the classifiers' strict requirements
 # (c1 > 1/2, c2 > 3/2 for pairs; c1 > 1, c2 > 3/2 for triples).
@@ -40,45 +39,17 @@ def rate_j(x):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class TripleOverlap:
-    """Overlaps (r12, r23, r31) of an ordered configuration triple."""
-
-    r12: float
-    r23: float
-    r31: float
-
-    def admissible(self) -> bool:
-        """Triangle-type constraints every realizable triple satisfies."""
-        return (
-            1.0 + self.r12 >= abs(self.r23 + self.r31) - 1e-12
-            and 1.0 - self.r12 >= abs(self.r23 - self.r31) - 1e-12
-        )
-
-    def as_tuple(self) -> tuple:
-        return (self.r12, self.r23, self.r31)
-
-
-def rate_j2(t: TripleOverlap) -> float:
-    """Three-overlap rate function; +inf when the domain condition fails."""
-    return float(rate_j2_xyz(t.r12, t.r23, t.r31))
-
-
-def rate_j2_xyz(x, y, z):
-    """Vectorized form of the triple rate function on raw coordinates."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
+def rate_j2(x, y, z):
+    """Three-overlap rate function of (r12, r23, r31), +inf off its domain.
+    Elementwise on arrays; a float for scalar input."""
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
     u1 = 1.0 + x + y + z
     u2 = 1.0 + x - y - z
     u3 = 1.0 - x + y - z
     u4 = 1.0 - x - y + z
     ok = (np.abs(1.0 + x) >= np.abs(y + z)) & (np.abs(1.0 - x) >= np.abs(y - z))
     out = np.full(np.broadcast(x, y, z).shape, np.inf)
-    if out.ndim == 0:
-        if ok:
-            return 0.25 * sum(xlogy(u, u) for u in (u1, u2, u3, u4))
-        return np.inf
+    # the clip sends column counts that round to just below 0 to 0 log 0 = 0
     terms = 0.25 * (
         xlogy(np.clip(u1, 0, None), u1)
         + xlogy(np.clip(u2, 0, None), u2)
@@ -86,16 +57,17 @@ def rate_j2_xyz(x, y, z):
         + xlogy(np.clip(u4, 0, None), u4)
     )
     out[ok] = terms[ok]
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
-def solve_ndelta(n: int, t: TripleOverlap) -> tuple:
-    """Column counts (n_111, n_11-1, n_1-11, n_1-1-1) of the gauge-fixed triple.
+def solve_ndelta(n: int, t) -> tuple:
+    """Column counts (n_111, n_11-1, n_1-11, n_1-1-1) of the gauge-fixed triple
+    t = (r12, r23, r31); ``triple_grid`` is the inverse map.
 
     The four values always sum to n; they are all nonnegative exactly when the
     triple is admissible, and integral exactly when it is realizable.
     """
-    r12, r23, r31 = t.as_tuple()
+    r12, r23, r31 = t
     return (
         n * (1.0 + r12 + r23 + r31) / 4.0,
         n * (1.0 + r12 - r23 - r31) / 4.0,
@@ -130,19 +102,16 @@ def _log_comb(n, k):
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
-def _ndelta_ints(n: int, t: TripleOverlap) -> tuple | None:
+def _ndelta_ints(n: int, t) -> tuple | None:
     vals = solve_ndelta(n, t)
-    ints = []
-    for v in vals:
-        vi = round(v)
-        if abs(v - vi) > 1e-9 or vi < 0:
-            return None
-        ints.append(int(vi))
-    return tuple(ints)
+    ints = tuple(int(round(v)) for v in vals)
+    if any(abs(v - vi) > 1e-9 or vi < 0 for v, vi in zip(vals, ints)):
+        return None
+    return ints
 
 
-def count_w3_exact(n: int, t: TripleOverlap) -> int:
-    """Exact number of ordered triples realizing the signed overlaps t.
+def count_w3_exact(n: int, t) -> int:
+    """Exact number of ordered triples with signed overlaps t = (r12, r23, r31).
 
     Signed convention, matching the prescribed-overlap triple sets. Returns 0
     for triples whose column counts are not nonnegative integers
@@ -156,7 +125,7 @@ def count_w3_exact(n: int, t: TripleOverlap) -> int:
     return (1 << n) * math.comb(n, d12) * math.comb(npp_ + npm, npp_) * math.comb(nmp + nmm, nmp)
 
 
-def log_count_w3(n: int, t: TripleOverlap) -> float:
+def log_count_w3(n: int, t) -> float:
     """Natural log of count_w3_exact; -inf for unrealizable triples."""
     nd = _ndelta_ints(n, t)
     if nd is None:
@@ -173,6 +142,26 @@ def log_count_columns(n: int, npp_, npm, nmp, nmm):
         + _log_comb(npp_ + npm, npp_)
         + _log_comb(nmp + nmm, nmp)
     )
+
+
+def triple_grid(n: int):
+    """All realizable signed triples (r12, r23, r31) at dimension n, with the
+    log-count of ordered triples at each and whether the three are distinct.
+
+    Rows run over the gauge column counts (n_111, n_11-1, n_1-11) in
+    lexicographic order, with n_1-1-1 the remainder.
+    """
+    k = np.arange(n + 1)
+    npp_, npm, nmp = np.meshgrid(k, k, k, indexing="ij")
+    keep = npp_ + npm + nmp <= n
+    npp_, npm, nmp = npp_[keep], npm[keep], nmp[keep]
+    nmm = n - npp_ - npm - nmp
+    r12 = (npp_ + npm - nmp - nmm) / n
+    r23 = (npp_ - npm - nmp + nmm) / n
+    r31 = (npp_ - npm + nmp - nmm) / n
+    log_count = log_count_columns(n, npp_, npm, nmp, nmm)
+    distinct = (nmp + nmm > 0) & (npm + nmp > 0) & (npm + nmm > 0)
+    return r12, r23, r31, log_count, distinct
 
 
 @dataclass(frozen=True)
@@ -209,17 +198,18 @@ def classify_pair_regime(
 def classify_triple_regime(
     n: int,
     m: float,
-    t: TripleOverlap,
+    t,
     c1: float = DEFAULT_C1_TRIPLE,
     c2: float = DEFAULT_C2_TRIPLE,
     empty_uses_log_n: bool = False,
 ) -> RegimeLabel:
-    """Triple analogue: thresholds shift by n*J(r12) relative to the pair case."""
+    """Triple analogue for t = (r12, r23, r31): thresholds shift by n*J(r12)
+    relative to the pair case."""
     if not c1 > 1.0:
         raise UsageError("triple regime classifier needs c1 > 1")
     if not c2 > 1.5:
         raise UsageError("triple regime classifier needs c2 > 3/2")
-    return _regime(n * rate_j2(t), m * LOG2 + n * rate_j(t.r12), n, c1, c2, empty_uses_log_n)
+    return _regime(n * rate_j2(*t), m * LOG2 + n * rate_j(t[0]), n, c1, c2, empty_uses_log_n)
 
 
 def _regime(nj, base, n, c1, c2, empty_uses_log_n) -> RegimeLabel:
@@ -235,24 +225,16 @@ def _regime(nj, base, n, c1, c2, empty_uses_log_n) -> RegimeLabel:
     return RegimeLabel(label=label, c1=c1, c2=c2)
 
 
-def _pop16_table() -> np.ndarray:
-    global _POP16
-    if _POP16 is None:
-        _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-    return _POP16
-
-
 def brute_force_pair_census(n: int) -> dict:
     """Exhaustive census of |overlap| over all 2^(2n) ordered pairs (n <= 14)."""
     if n > _BRUTE_FORCE_MAX_N:
         raise UsageError(f"brute-force pair census limited to n <= {_BRUTE_FORCE_MAX_N}")
-    pop = _pop16_table()
     codes = np.arange(1 << n, dtype=np.uint16)
     hist = np.zeros(n + 1, dtype=np.int64)
     chunk = max(1, (1 << 22) // len(codes))
     for start in range(0, len(codes), chunk):
         block = codes[start : start + chunk, None] ^ codes[None, :]
-        hist += np.bincount(pop[block].ravel(), minlength=n + 1)
+        hist += np.bincount(np.bitwise_count(block).ravel(), minlength=n + 1)
     grid = overlap_grid(n)
     census: dict[float, int] = {}
     for k, c in enumerate(hist):
@@ -270,15 +252,14 @@ def brute_force_triple_census(n: int) -> dict:
     """
     if n > 12:
         raise UsageError("brute-force triple census limited to n <= 12")
-    pop = _pop16_table()
     codes = np.arange(1 << n, dtype=np.uint16)
-    d2 = pop[codes].astype(np.int64)  # Hamming distance to the all-ones gauge
+    d2 = np.bitwise_count(codes).astype(np.int64)  # Hamming distance to the all-ones gauge
     size = n + 1
     hist = np.zeros(size * size * size, dtype=np.int64)
     chunk = max(1, (1 << 22) // len(codes))
     for start in range(0, len(codes), chunk):
         sub = codes[start : start + chunk]
-        d23 = pop[sub[:, None] ^ codes[None, :]].astype(np.int64)
+        d23 = np.bitwise_count(sub[:, None] ^ codes[None, :]).astype(np.int64)
         key = (d2[start : start + chunk, None] * size + d23) * size + d2[None, :]
         hist += np.bincount(key.ravel(), minlength=hist.size)
     grid = overlap_grid(n)

@@ -308,8 +308,8 @@ def semianalytic_pair_ratio(spec: ModelSpec, n: int, m: float, window: BorelWind
 
 
 def conditional_pair_moments(spec: ModelSpec, cloud, norm: Normalization,
-                             window: BorelWindow, nodes: int = QUAD_NODES) -> tuple:
-    """Exact (m1, m2) conditional on a realized cloud.
+                             windows, nodes: int = QUAD_NODES) -> list:
+    """Exact (m1, m2) conditional on a realized cloud, one pair per window.
 
     This is what a quenched Monte Carlo run estimates: |X| P1 and the
     census-weighted sum of pair probabilities over the cloud's actual
@@ -319,32 +319,17 @@ def conditional_pair_moments(spec: ModelSpec, cloud, norm: Normalization,
     """
     if spec.coupling.kind != "gaussian":
         raise UsageError("conditional references are available for Gaussian couplings only")
-    m1 = len(cloud) * marginal_window_prob(norm, window)
     census = combinatorics.cloud_pair_census(cloud)
     rs = np.array(sorted(census))
     counts = np.array([census[r] for r in rs], dtype=float)
-    win = window.intervals
-    logp = _log_pair_probs(_cov(spec, rs), norm, win, win, nodes)
-    m2 = float(np.sum(counts * np.exp(logp)))
-    return m1, m2
-
-
-def _triple_grid(n: int):
-    """All realizable signed triples, parameterized by the gauge column counts."""
-    rows = []
-    for npp_ in range(n + 1):
-        for npm in range(n + 1 - npp_):
-            for nmp in range(n + 1 - npp_ - npm):
-                nmm = n - npp_ - npm - nmp
-                rows.append((npp_, npm, nmp, nmm))
-    arr = np.array(rows, dtype=np.int64)
-    npp_, npm, nmp, nmm = arr.T
-    r12 = (npp_ + npm - nmp - nmm) / n
-    r23 = (npp_ - npm - nmp + nmm) / n
-    r31 = (npp_ - npm + nmp - nmm) / n
-    log_count = combinatorics.log_count_columns(n, npp_, npm, nmp, nmm)
-    distinct = (nmp + nmm > 0) & (npm + nmp > 0) & (npm + nmm > 0)
-    return r12, r23, r31, log_count, distinct
+    cov = _cov(spec, rs)
+    moments = []
+    for window in windows:
+        m1 = len(cloud) * marginal_window_prob(norm, window)
+        win = window.intervals
+        logp = _log_pair_probs(cov, norm, win, win, nodes)
+        moments.append((m1, float(np.sum(counts * np.exp(logp)))))
+    return moments
 
 
 def semianalytic_third_moment(spec: ModelSpec, n: int, m: float, window: BorelWindow,
@@ -354,7 +339,7 @@ def semianalytic_third_moment(spec: ModelSpec, n: int, m: float, window: BorelWi
         raise UsageError("semi-analytic moments are available for Gaussian couplings only")
     if n > _THIRD_MOMENT_MAX_N:
         raise UsageError(f"third-moment grid summation limited to n <= {_THIRD_MOMENT_MAX_N}")
-    r12, r23, r31, log_count, distinct = _triple_grid(n)
+    r12, r23, r31, log_count, distinct = combinatorics.triple_grid(n)
     b12, b23, b31 = _cov(spec, r12), _cov(spec, r23), _cov(spec, r31)
     # regular triples first, degenerate ones last, each in grid order: the
     # log-sum below is order-sensitive at the last-bit level

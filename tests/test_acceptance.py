@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 from remlab.combinatorics import (
-    TripleOverlap,
     brute_force_pair_census,
     brute_force_triple_census,
     count_v2_exact,
     count_w3_exact,
-    rate_j2_xyz,
+    rate_j2,
 )
 from remlab.gibbs import pd_compare, pd_power_sum_mc
 from remlab.models import ModelSpec, coupling_c4, estimate_c4_empirical
@@ -183,7 +182,7 @@ def test_criterion_6_combinatorics_oracle_equivalence():
         tcensus = brute_force_triple_census(n)
         assert sum(tcensus.values()) == 8**n
         for key, c in tcensus.items():
-            assert count_w3_exact(n, TripleOverlap(*key)) == c, (n, key)
+            assert count_w3_exact(n, key) == c, (n, key)
     dt = time.perf_counter() - t0
     _line("6", dt < 120,
           f"exact pair/triple counts equal brute-force censuses for all n <= 12, {dt:.0f}s")
@@ -195,7 +194,7 @@ def test_criterion_7_inequality_property_suites():
     # triple rate function dominates the quadratic form on admissible triples
     g = np.linspace(-1.0, 1.0, 50)
     x, y, z = np.meshgrid(g, g, g, indexing="ij")
-    j2 = rate_j2_xyz(x, y, z)
+    j2 = rate_j2(x, y, z)
     admissible = np.isfinite(j2)
     quad = (x**2 + y**2 + z**2) / 4.0
     violations_j2 = int(np.sum(j2[admissible] < quad[admissible] - 1e-12))
@@ -203,7 +202,7 @@ def test_criterion_7_inequality_property_suites():
     # 3 - (1, B^-1 1) <= 2 (r12^2 + r23^2 + r31^2) for SK covariances
     g30 = np.linspace(-0.995, 0.995, 30)
     a, b, c = np.meshgrid(g30, g30, g30, indexing="ij")
-    adm = np.isfinite(rate_j2_xyz(a, b, c))
+    adm = np.isfinite(rate_j2(a, b, c))
     b12, b23, b31 = a[adm] ** 2, b[adm] ** 2, c[adm] ** 2
     det = 1.0 + 2.0 * b12 * b23 * b31 - b12**2 - b23**2 - b31**2
     inv_ok = det > 1e-12

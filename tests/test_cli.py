@@ -165,6 +165,16 @@ def test_cmd_comb_records():
     records = cmd_comb(cfg)
     assert records[0]["count"] == 128 and records[1]["count"] == 32
     assert records[2]["count"] == 384
+    # (0.2, 1, 0.2) has a column count that rounds to -5.6e-17; an unclipped
+    # xlogy makes its rate NaN, which fails both regime comparisons
+    (rate,) = cmd_comb(build_config("comb", {}, {
+        "comb_kind": "rates", "r_values": [], "triples": [[0.2, 1, 0.2]],
+    }))
+    assert math.isfinite(rate["j2"])
+    (regime,) = cmd_comb(build_config("comb", {}, {
+        "comb_kind": "regimes", "n": 5, "m": 40, "r_values": [], "triples": [[0.2, 1, 0.2]],
+    }))
+    assert regime["label"] == "Concentrated"
     verify = cmd_comb(build_config("comb", {}, {"comb_kind": "verify", "n": 6}))
     assert verify[0]["pairs_matched"] and verify[0]["triples_matched"]
     with pytest.raises(UsageError):

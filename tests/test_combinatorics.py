@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from remlab.combinatorics import (
-    TripleOverlap,
     brute_force_pair_census,
     brute_force_triple_census,
     classify_pair_regime,
@@ -16,8 +15,8 @@ from remlab.combinatorics import (
     log_count_w3,
     rate_j,
     rate_j2,
-    rate_j2_xyz,
     solve_ndelta,
+    triple_grid,
 )
 from remlab.core import Cloud, grid_index, overlap_grid, sample_cloud
 from remlab.errors import UsageError
@@ -49,14 +48,14 @@ def test_rate_j_even_convex_and_quadratic_bound():
 
 
 def test_rate_j2_values_and_reduction():
-    assert rate_j2(TripleOverlap(0, 0, 0)) == 0.0
+    assert rate_j2(0, 0, 0) == 0.0
     for x in np.linspace(-0.9, 0.9, 19):
-        assert rate_j2(TripleOverlap(x, 0, 0)) == pytest.approx(float(rate_j(x)), abs=1e-14)
+        assert rate_j2(x, 0, 0) == pytest.approx(float(rate_j(x)), abs=1e-14)
     # frozen from a 40-digit arbitrary-precision evaluation of the four-term sum
-    assert rate_j2(TripleOverlap(0.5, 0.5, 0.5)) == pytest.approx(
+    assert rate_j2(0.5, 0.5, 0.5) == pytest.approx(
         0.3127515147113674, abs=1e-15
     )
-    assert rate_j2(TripleOverlap(0.9, -0.9, 0.9)) == math.inf  # inadmissible
+    assert rate_j2(0.9, -0.9, 0.9) == math.inf  # inadmissible
 
 
 def test_rate_j2_symmetry():
@@ -64,8 +63,8 @@ def test_rate_j2_symmetry():
     for _ in range(200):
         x, y, z = rng.uniform(-1, 1, 3)
         vals = {
-            rate_j2_xyz(x, y, z), rate_j2_xyz(y, x, z), rate_j2_xyz(z, y, x),
-            rate_j2_xyz(x, z, y), rate_j2_xyz(y, z, x), rate_j2_xyz(z, x, y),
+            rate_j2(x, y, z), rate_j2(y, x, z), rate_j2(z, y, x),
+            rate_j2(x, z, y), rate_j2(y, z, x), rate_j2(z, x, y),
         }
         finite = {v for v in vals if math.isfinite(v)}
         if finite:
@@ -75,10 +74,10 @@ def test_rate_j2_symmetry():
 
 
 def test_solve_ndelta_examples():
-    assert solve_ndelta(4, TripleOverlap(0, 0, 0)) == (1, 1, 1, 1)
-    assert solve_ndelta(4, TripleOverlap(1, 1, 1)) == (4, 0, 0, 0)
+    assert solve_ndelta(4, (0, 0, 0)) == (1, 1, 1, 1)
+    assert solve_ndelta(4, (1, 1, 1)) == (4, 0, 0, 0)
     # plugging (0.5, 0.5, 0) into the four closed forms
-    assert solve_ndelta(8, TripleOverlap(0.5, 0.5, 0.0)) == (4, 2, 0, 2)
+    assert solve_ndelta(8, (0.5, 0.5, 0.0)) == (4, 2, 0, 2)
 
 
 def test_solve_ndelta_reconstructs_overlaps():
@@ -86,13 +85,15 @@ def test_solve_ndelta_reconstructs_overlaps():
     n = 12
     grid = overlap_grid(n)
     for _ in range(100):
-        t = TripleOverlap(*rng.choice(grid, 3))
+        t = tuple(rng.choice(grid, 3))
         npp_, npm, nmp, nmm = solve_ndelta(n, t)
         assert npp_ + npm + nmp + nmm == pytest.approx(n, abs=1e-9)
-        assert (npp_ + npm - nmp - nmm) / n == pytest.approx(t.r12, abs=1e-9)
-        assert (npp_ - npm - nmp + nmm) / n == pytest.approx(t.r23, abs=1e-9)
-        assert (npp_ - npm + nmp - nmm) / n == pytest.approx(t.r31, abs=1e-9)
-        if t.admissible():
+        assert (npp_ + npm - nmp - nmm) / n == pytest.approx(t[0], abs=1e-9)
+        assert (npp_ - npm - nmp + nmm) / n == pytest.approx(t[1], abs=1e-9)
+        assert (npp_ - npm + nmp - nmm) / n == pytest.approx(t[2], abs=1e-9)
+        # the triangle-type constraints every realizable triple satisfies
+        if (1.0 + t[0] >= abs(t[1] + t[2]) - 1e-12
+                and 1.0 - t[0] >= abs(t[1] - t[2]) - 1e-12):
             assert min(npp_, npm, nmp, nmm) >= -1e-9
 
 
@@ -112,10 +113,10 @@ def test_count_v2_total_mass():
 
 
 def test_count_w3_examples():
-    assert count_w3_exact(4, TripleOverlap(0, 0, 0)) == 384
-    assert count_w3_exact(4, TripleOverlap(1, 1, 1)) == 16
+    assert count_w3_exact(4, (0, 0, 0)) == 384
+    assert count_w3_exact(4, (1, 1, 1)) == 16
     # non-integer column counts: unrealizable triple
-    assert count_w3_exact(4, TripleOverlap(0.5, 0.0, 0.0)) == 0
+    assert count_w3_exact(4, (0.5, 0.0, 0.0)) == 0
 
 
 def test_counts_match_brute_force_small():
@@ -128,7 +129,21 @@ def test_counts_match_brute_force_small():
         tcensus = brute_force_triple_census(n)
         assert sum(tcensus.values()) == 8**n
         for key, c in tcensus.items():
-            assert count_w3_exact(n, TripleOverlap(*key)) == c
+            assert count_w3_exact(n, key) == c
+        # the scalar rate is finite on every realizable triple and equals the
+        # array evaluation
+        keys = np.array(list(tcensus))
+        j2 = rate_j2(*keys.T)
+        for key, v in zip(tcensus, j2):
+            assert math.isfinite(rate_j2(*key)) and rate_j2(*key) == v
+        # the column-count grid lists exactly the census triples, with their counts
+        r12, r23, r31, log_count, distinct = triple_grid(n)
+        grid = {key: (lc, d) for key, lc, d in zip(zip(r12, r23, r31), log_count, distinct)}
+        assert grid.keys() == tcensus.keys()
+        for key, c in tcensus.items():
+            lc, d = grid[key]
+            assert math.exp(lc) == pytest.approx(c, rel=1e-12)
+            assert d == (max(key) < 1.0)
 
 
 def test_triple_census_matches_full_enumeration():
@@ -155,9 +170,9 @@ def test_log_counts_agree_with_exact():
             assert log_count_v2(n, abs(r)) == pytest.approx(
                 math.log(count_v2_exact(n, abs(r))), rel=1e-12
             )
-    t = TripleOverlap(0.5, 0.5, 0.0)
+    t = (0.5, 0.5, 0.0)
     assert log_count_w3(8, t) == pytest.approx(math.log(count_w3_exact(8, t)), rel=1e-12)
-    assert log_count_w3(8, TripleOverlap(0.25, 0, 0)) == -math.inf
+    assert log_count_w3(8, (0.25, 0, 0)) == -math.inf
 
 
 def test_pair_count_lower_bound():
@@ -209,11 +224,11 @@ def test_pair_regime_empty_threshold_variant():
 
 
 def test_triple_regime_classifier():
-    assert classify_triple_regime(100, 10.0, TripleOverlap(0, 0, 0)).label == "Concentrated"
-    assert classify_triple_regime(100, 10.0, TripleOverlap(0.1, 0.1, 0.1)).label == "Concentrated"
-    assert classify_triple_regime(100, 10.0, TripleOverlap(0.9, -0.9, 0.9)).label == "Empty"
+    assert classify_triple_regime(100, 10.0, (0, 0, 0)).label == "Concentrated"
+    assert classify_triple_regime(100, 10.0, (0.1, 0.1, 0.1)).label == "Concentrated"
+    assert classify_triple_regime(100, 10.0, (0.9, -0.9, 0.9)).label == "Empty"
     with pytest.raises(UsageError):
-        classify_triple_regime(100, 10.0, TripleOverlap(0, 0, 0), c1=1.0)
+        classify_triple_regime(100, 10.0, (0, 0, 0), c1=1.0)
 
 
 def test_cloud_pair_census_antipodal():
