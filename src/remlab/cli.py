@@ -286,7 +286,7 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
         if gaussian and cfg.n <= theory._SEMIANALYTIC_MAX_N:
             sa[1] = theory.semianalytic_moment(spec, cfg.n, m, window, 1)
             sa[2] = theory.semianalytic_moment(spec, cfg.n, m, window, 2)
-        if gaussian and cfg.n <= 32:
+        if gaussian and cfg.n <= 32 and cfg.max_ell >= 3:
             sa[3] = theory.semianalytic_third_moment(spec, cfg.n, m, window)
         cond = dict(enumerate(conditional[wi], 1)) if conditional else {}
         for ell in range(1, cfg.max_ell + 1):

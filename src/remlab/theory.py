@@ -7,6 +7,8 @@ nu, and one Gaussian window probability per entry from a single kernel,
 histograms are the exact binomial pair counts (annealed second moment), the
 pair census of a realized cloud (quenched conditional moments) and the signed
 triple grid (annealed third moment). The terms are combined by a log-sum.
+The triple sum evaluates the kernel once per distinct ordered covariance
+triple, without sorting it, since a permuted covariance rounds differently.
 
 Everything runs in log space: the huge exp(-a_n^2 * s / 2) factor of the
 joint density is carried symbolically, and only the bounded window integral
@@ -345,7 +347,10 @@ def semianalytic_third_moment(spec: ModelSpec, n: int, m: float, window: BorelWi
     # log-sum below is order-sensitive at the last-bit level
     idx = np.nonzero(distinct)[0]
     idx = idx[np.argsort(_triple_degenerate(b12[idx], b23[idx], b31[idx]), kind="stable")]
-    logp = _log_triple_probs(b12[idx], b23[idx], b31[idx], Normalization(m), window, nodes)
+    # one kernel call per distinct ordered covariance triple (not sorted: a
+    # permuted covariance rounds differently in the last bit)
+    covs, inv = np.unique(np.stack([b12, b23, b31], axis=1)[idx], axis=0, return_inverse=True)
+    logp = _log_triple_probs(*covs.T, Normalization(m), window, nodes)[inv.ravel()]
     return _sum_exp(log_count[idx] + 3.0 * (m - n) * LOG2 + logp)
 
 

@@ -131,6 +131,23 @@ def test_cmd_simulate_records():
         assert "threads" not in r["config"]
 
 
+def test_simulate_skips_the_third_moment_below_ell_3(monkeypatch):
+    # only the ell = 3 moment record reads the triple reference
+    from remlab import theory
+
+    def unused(*args, **kwargs):
+        raise AssertionError("third moment computed for max_ell = 2")
+
+    monkeypatch.setattr(theory, "semianalytic_third_moment", unused)
+    cfg = build_config("simulate", {}, {
+        "model": "sk", "n": 12, "m": 4.0, "mode": "annealed", "replicas": 200,
+        "max_ell": 2, "seed": 3,
+    })
+    moments = [r for r in cmd_simulate(cfg) if r["record"] == "moment"]
+    assert [r["ell"] for r in moments] == [1, 2]
+    assert all(r["reference_semianalytic"] is not None for r in moments)
+
+
 def test_cmd_theory_limit_scan(tmp_path):
     csv_path = tmp_path / "scan.csv"
     cfg = build_config("theory", {}, {

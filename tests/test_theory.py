@@ -6,6 +6,8 @@ import pytest
 from scipy import integrate
 from scipy.special import log_ndtr, logsumexp, ndtr, roots_legendre
 
+from remlab import theory
+from remlab.combinatorics import triple_grid
 from remlab.core import LOG2
 from remlab.errors import NumericalError, UsageError
 from remlab.models import ModelSpec
@@ -13,8 +15,11 @@ from remlab.pointproc import SQRT_2LOG2, BorelWindow, CountVector, Normalization
 from remlab.pipeline import count_replicas, experiment_cloud
 from remlab.theory import (
     SK_EPS_MAX,
+    _cov,
     _log_pair_probs,
+    _log_triple_probs,
     _sum_exp,
+    _triple_degenerate,
     gaussian_joint_window_prob,
     intensity_mu,
     limit_constant,
@@ -285,6 +290,46 @@ def test_sk_bulk_third_moment_factorization_scale():
     m3 = semianalytic_third_moment(ModelSpec.sk(), 60, 3.0, W01)
     m1 = semianalytic_moment(ModelSpec.sk(), 60, 3.0, W01, 1)
     assert 1.0 <= m3 / m1**3 <= 1.3
+
+
+W_TWO = BorelWindow(((-1.0, 0.0), (0.5, 2.0)))
+
+
+@pytest.mark.parametrize("spec, n, m, window", [
+    (ModelSpec.sk(), 24, 6.0, W01),
+    # sorting each covariance triple before merging moves this one by 3 ulp
+    (ModelSpec.npp(), 12, 7.0, W01),
+    (ModelSpec.npp(), 12, 2.5, W_TWO),
+    (ModelSpec.pure(3), 16, 4.0, W01),
+], ids=["sk-24", "npp-12", "npp-12-two-intervals", "pspin3-16"])
+def test_third_moment_merging_covariance_triples_keeps_the_bits(spec, n, m, window):
+    # the sum as assembled from one kernel value per grid row, regular rows
+    # first and degenerate rows last, each in grid order
+    r12, r23, r31, log_count, distinct = triple_grid(n)
+    b12, b23, b31 = _cov(spec, r12), _cov(spec, r23), _cov(spec, r31)
+    idx = np.nonzero(distinct)[0]
+    idx = idx[np.argsort(_triple_degenerate(b12[idx], b23[idx], b31[idx]), kind="stable")]
+    logp = _log_triple_probs(b12[idx], b23[idx], b31[idx], Normalization(m), window)
+    every_row = _sum_exp(log_count[idx] + 3.0 * (m - n) * LOG2 + logp)
+    assert semianalytic_third_moment(spec, n, m, window).hex() == every_row.hex()
+
+
+def test_third_moment_evaluates_each_covariance_triple_once(monkeypatch):
+    spec, n = ModelSpec.sk(), 40
+    batches = []
+
+    def spy(b12, *args, **kwargs):
+        batches.append(len(b12))
+        return _log_triple_probs(b12, *args, **kwargs)
+
+    monkeypatch.setattr(theory, "_log_triple_probs", spy)
+    semianalytic_third_moment(spec, n, 3.0, W01)
+    r12, r23, r31, _, distinct = triple_grid(n)
+    triples = {tuple(float(spec.nu(r)) for r in row)
+               for row in zip(r12[distinct], r23[distinct], r31[distinct])}
+    # nu(r) = r^2 merges 12 220 grid rows into 2 485 covariance triples
+    assert batches == [len(triples)]
+    assert len(triples) < np.count_nonzero(distinct)
 
 
 # --------------------------------------------------------------- limit values
