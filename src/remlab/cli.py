@@ -193,7 +193,7 @@ _ACCEPTS = {
                 "a list of [p, a_p] with an integer p"),
     "eps_values": (_list_of(_is_number), "a list of finite numbers"),
     "r_values": (_list_of(_is_number), "a list of finite numbers"),
-    "n_values": (_list_of(_is_int), "a list of integers"),
+    "n_values": (_list_of(lambda v: _is_int(v) and v >= 1), "a list of positive integers"),
     "triples": (_list_of(_list_of(_is_number, 3)), "a list of [r12, r23, r31]"),
 }
 
@@ -235,11 +235,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.command in ("simulate", "gibbs"):
         if cfg.replicas < 1:
             raise UsageError("field replicas: must be >= 1")
-        m = cfg.resolved_m()
-        if m < 2.0:
-            raise UsageError(f"field m: resolved m={m:g} is below the normalization minimum 2")
-        if m > cfg.n:
-            raise UsageError(f"field m: resolved m={m:g} exceeds n={cfg.n}")
+        _check_m(cfg.resolved_m(), cfg.n)
         cfg.model_spec()
     if cfg.command == "simulate":
         cfg.window_objects()
@@ -247,8 +243,18 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise UsageError("field max_ell: must be 1, 2, or 3")
     if cfg.command == "gibbs" and cfg.beta is None:
         raise UsageError("field beta: required for the gibbs command")
-    if cfg.command == "theory" and cfg.theory_kind == "ratio_scan" and len(cfg.windows) != 1:
-        raise UsageError("field windows: ratio_scan takes exactly one window")
+    if cfg.command == "theory" and cfg.theory_kind == "ratio_scan":
+        if len(cfg.windows) != 1:
+            raise UsageError("field windows: ratio_scan takes exactly one window")
+        for n in cfg.n_values:
+            _check_m(replace(cfg, n=n).resolved_m(), n)
+
+
+def _check_m(m: float, n: int) -> None:
+    if m < 2.0:
+        raise UsageError(f"field m: resolved m={m:g} is below the normalization minimum 2")
+    if m > n:
+        raise UsageError(f"field m: resolved m={m:g} exceeds n={n}")
 
 
 def _record(cfg: ExperimentConfig, kind: str, payload: dict) -> dict:
@@ -270,7 +276,7 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
     )
     gaussian = spec.coupling.kind == "gaussian"
     quenched = cfg.mode == "quenched"
-    limits = _limit_factors(cfg, spec)
+    limits = theory.limit_factors(spec, cfg.m_rule, cfg.epsilon)
     # what a quenched run actually estimates: moments conditional on the
     # realized cloud (the annealed reference differs at O(2^(-m/2)))
     conditional = (theory.conditional_pair_moments(spec, cloud, norm, windows)
@@ -334,28 +340,6 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
     return records
 
 
-def _limit_tag(cfg: ExperimentConfig, spec: ModelSpec):
-    if spec.is_rem:
-        return "rem", cfg.m_rule if cfg.m_rule != "fixed" else "sqrt"
-    if spec.mixture is not None and len(spec.mixture) == 1:
-        tag = {1: "npp", 2: "sk"}.get(spec.mixture[0][0], "pspin")
-        return tag, theory._SCALING_BY_MODEL[tag]
-    return None, None
-
-
-def _limit_factors(cfg: ExperimentConfig, spec: ModelSpec):
-    """Limits of m1/mu(A) and m2/mu(A)^2, or None where no limit theorem applies."""
-    tag, scaling = _limit_tag(cfg, spec)
-    if tag is None:
-        return None
-    eps = float(cfg.epsilon if cfg.m_rule in ("sqrt", "linear") else 0.0)
-    try:
-        return tuple(theory.limit_constant(tag, scaling, eps, ell, c4=spec.coupling.c4)
-                     for ell in (1, 2))
-    except UsageError:
-        return None
-
-
 def _limit_ratio(limits):
     return limits[1] / limits[0] ** 2 if limits else None
 
@@ -374,15 +358,23 @@ def cmd_theory(cfg: ExperimentConfig, progress: bool = False) -> list:
     records = []
     if cfg.theory_kind == "limit_scan":
         spec = cfg.model_spec()
-        tag, scaling = _limit_tag(cfg, spec)
-        if tag is None:
-            raise UsageError("limit_scan needs a pure model (rem, npp, sk, pspin)")
         if not cfg.eps_values:
             raise UsageError("limit_scan needs eps_values")
+        if spec.is_rem or len(spec.mixture) == 1:
+            # a pure model keeps limit_constant's tag and its theorem's scaling (REM: the run's)
+            p = 0 if spec.is_rem else spec.mixture[0][0]
+            model = {0: "rem", 1: "npp", 2: "sk"}.get(p, "pspin")
+            scaling = {0: cfg.m_rule.replace("fixed", "sqrt"), 1: "sqrt"}.get(p, "linear")
+            value = lambda e: theory.limit_constant(model, scaling, e, cfg.ell, spec.coupling.c4)
+        else:
+            if cfg.m_rule not in ("sqrt", "linear") or cfg.ell not in (1, 2):
+                raise UsageError("limit_scan of a mixture needs m_rule sqrt or linear, ell 1 or 2")
+            model, scaling = "mixture", cfg.m_rule
+            value = lambda e: (theory.limit_factors(spec, scaling, e) or (None,) * 2)[cfg.ell - 1]
         for eps in cfg.eps_values:
-            value = theory.limit_constant(tag, scaling, float(eps), cfg.ell, c4=spec.coupling.c4)
             records.append(_record(cfg, "limit_constant", {
-                "model": tag, "scaling": scaling, "eps": eps, "ell": cfg.ell, "value": value,
+                "model": model, "scaling": scaling, "eps": eps, "ell": cfg.ell,
+                "value": value(float(eps)),
             }))
         if cfg.csv_out:
             _write_scan_csv(cfg.csv_out, ["eps", "value"], records)
@@ -392,7 +384,7 @@ def cmd_theory(cfg: ExperimentConfig, progress: bool = False) -> list:
         if not cfg.n_values:
             raise UsageError("ratio_scan needs n_values")
         window = cfg.window_objects()[0]
-        limit = _limit_ratio(_limit_factors(cfg, spec))
+        limit = _limit_ratio(theory.limit_factors(spec, cfg.m_rule, cfg.epsilon))
         for n in cfg.n_values:
             m = replace(cfg, n=n).resolved_m()
             m1 = theory.semianalytic_moment(spec, n, m, window, 1)

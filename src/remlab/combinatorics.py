@@ -47,9 +47,10 @@ def rate_j2(x, y, z):
     u2 = 1.0 + x - y - z
     u3 = 1.0 - x + y - z
     u4 = 1.0 - x - y + z
-    ok = (np.abs(1.0 + x) >= np.abs(y + z)) & (np.abs(1.0 - x) >= np.abs(y - z))
+    # admissible iff no column count is negative (u1 + u2 = 2 (1 + x) etc.); a
+    # count rounding to just below 0 passes, and the clip makes it 0 log 0 = 0
+    ok = np.minimum(np.minimum(u1, u2), np.minimum(u3, u4)) >= -1e-12
     out = np.full(np.broadcast(x, y, z).shape, np.inf)
-    # the clip sends column counts that round to just below 0 to 0 log 0 = 0
     terms = 0.25 * (
         xlogy(np.clip(u1, 0, None), u1)
         + xlogy(np.clip(u2, 0, None), u2)

@@ -125,15 +125,6 @@ class ModelSpec:
     def is_rem(self) -> bool:
         return self.mixture is None
 
-    @property
-    def tag(self) -> str:
-        if self.is_rem:
-            return "rem"
-        if len(self.mixture) == 1:
-            p = self.mixture[0][0]
-            return {1: "npp", 2: "sk"}.get(p, f"pspin{p}")
-        return "mixture"
-
     def nu(self, r):
         """Covariance as a function of the overlap."""
         r = np.asarray(r, dtype=float)

@@ -17,7 +17,9 @@ is evaluated by tensor Gauss-Legendre quadrature. Covariances within
 cannot resolve; the kernels eliminate the dependent energy instead (on the
 window reflected under H -> -H when the pair is anticorrelated). The grid
 sums are capped at n <= ``_SEMIANALYTIC_MAX_N`` for pairs and
-n <= ``_THIRD_MOMENT_MAX_N`` for triples.
+n <= ``_THIRD_MOMENT_MAX_N`` for triples. One formula in the p = 1 and p = 2
+mixture weights and c4 gives the limit constants: ``limit_factors`` at a run's
+m_rule, ``limit_constant`` by a pure model's tag.
 """
 
 from __future__ import annotations
@@ -354,7 +356,36 @@ def semianalytic_third_moment(spec: ModelSpec, n: int, m: float, window: BorelWi
     return _sum_exp(log_count[idx] + 3.0 * (m - n) * LOG2 + logp)
 
 
-_SCALING_BY_MODEL = {"npp": "sqrt", "sk": "linear", "pspin": "linear", "rem": None}
+# limit_constant's tags: a pure model's (a1^2, a2^2) and its theorem's scaling
+_PURE_TAGS = {"rem": (0.0, 0.0, None), "npp": (1.0, 0.0, "sqrt"),
+              "sk": (0.0, 1.0, "linear"), "pspin": (0.0, 0.0, "linear")}
+
+
+def _limit_pair(scaling: str, eps: float, a1sq: float, a2sq: float, c4: float):
+    """(m1/mu(A), m2/mu(A)^2) from the p = 1 and p = 2 weights, or None at
+    linear m with a1 != 0 (the ratio diverges) or eps >= SK_EPS_MAX."""
+    if eps < 0:
+        raise UsageError("eps must be nonnegative")
+    e2l2 = eps * eps * LOG2 * LOG2
+    if scaling == "sqrt":
+        return (math.exp(-4.0 * c4 * e2l2 * a1sq),
+                math.exp(2.0 * e2l2 * a1sq * a1sq * (1.0 - 12.0 * c4)))
+    if a1sq != 0.0 or not eps < SK_EPS_MAX:
+        return None
+    return (math.exp(-4.0 * c4 * e2l2 * a2sq),
+            math.exp(-24.0 * c4 * e2l2 * a2sq) / math.sqrt(1.0 - 4.0 * eps * LOG2 * a2sq))
+
+
+def limit_factors(spec: ModelSpec, m_rule: str, epsilon):
+    """Limits of m1/mu(A) and m2/mu(A)^2 at m_rule (fixed, sqrt, linear), or None.
+
+    Only the p = 1 weight survives at m = eps*sqrt(n), only p = 2 at m = eps*n.
+    For a mixture this is the leading-order expansion, not the theorem.
+    """
+    if spec.is_rem or m_rule == "fixed":
+        return (1.0, 1.0)
+    a1sq, a2sq = (sum(a * a for p, a in spec.mixture if p == q) for q in (1, 2))
+    return _limit_pair(m_rule, float(epsilon), a1sq, a2sq, spec.coupling.c4)
 
 
 def limit_constant(model: str, scaling: str, eps: float, ell: int,
@@ -366,34 +397,18 @@ def limit_constant(model: str, scaling: str, eps: float, ell: int,
     """
     if ell not in (1, 2):
         raise UsageError("limit constants are available for ell in {1, 2}")
-    if eps < 0:
-        raise UsageError("eps must be nonnegative")
-    if model not in _SCALING_BY_MODEL:
+    if model not in _PURE_TAGS:
         raise UsageError(f"unknown model tag {model!r}")
-    expected = _SCALING_BY_MODEL[model]
+    a1sq, a2sq, expected = _PURE_TAGS[model]
     if expected is not None and scaling != expected:
         raise UsageError(f"model {model!r} takes the m = eps*{expected}(n) scaling")
-
-    e2l2 = eps * eps * LOG2 * LOG2
-    if model in ("rem", "pspin"):
-        if c4 != 0.0:
-            raise UsageError("non-Gaussian limit constants cover p in {1, 2} only")
-        if model == "pspin" and not eps < SK_EPS_MAX:
-            raise UsageError(
-                f"the p>=3 moment constants require eps < 1/(8 log 2) = {SK_EPS_MAX:.6f}"
-            )
-        value = 1.0
-    elif model == "npp":
-        value = math.exp(-4.0 * c4 * e2l2) if ell == 1 else math.exp(2.0 * e2l2 * (1.0 - 12.0 * c4))
-    else:  # sk
-        if not eps < SK_EPS_MAX:
-            raise UsageError(
-                f"the SK breakdown constant requires eps < 1/(8 log 2) = {SK_EPS_MAX:.6f}"
-            )
-        if ell == 1:
-            value = math.exp(-4.0 * c4 * e2l2)
-        else:
-            value = math.exp(-24.0 * c4 * e2l2) / math.sqrt(1.0 - 4.0 * eps * LOG2)
+    if c4 != 0.0 and a1sq + a2sq == 0.0:
+        raise UsageError("non-Gaussian limit constants cover p in {1, 2} only")
+    # the REM's zero weights give 1 at the sqrt scale, whatever eps
+    factors = _limit_pair(expected or "sqrt", eps, a1sq, a2sq, c4)
+    if factors is None:
+        raise UsageError(f"{model} at m = eps*n needs eps < 1/(8 log 2) = {SK_EPS_MAX:.6f}")
+    value = factors[ell - 1]
     if ell == 2 and value < 1.0 - 1e-12:
         # only c4 > 1/12 (excess kurtosis below -2) gets here, which no
         # unit-variance law has

@@ -174,6 +174,53 @@ def test_cmd_theory_ratio_scan():
     assert records[0]["limit"] == pytest.approx(2.614063815405198, rel=1e-12)
 
 
+def test_limits_follow_the_run_m_rule():
+    # SK off its m = eps*n scale tends to 1; NPP at m = eps*n diverges
+    for model, rule, eps, limit in (("sk", "sqrt", 1.0, 1.0), ("npp", "linear", 0.25, None)):
+        common = {"model": model, "m_rule": rule, "epsilon": eps}
+        scan = cmd_theory(build_config("theory", {}, {
+            **common, "theory_kind": "ratio_scan", "n_values": [16, 36],
+        }))
+        assert [r["limit"] for r in scan] == [limit, limit]
+        records = cmd_simulate(build_config("simulate", {}, {
+            **common, "n": 16, "mode": "annealed", "replicas": 50, "max_ell": 2,
+            "gof": False, "spacing": False,
+        }))
+        mu = intensity_mu(BorelWindow.single(0.0, 1.0))
+        moments = [r["reference_asymptotic"] for r in records if r["record"] == "moment"]
+        ratio = [r["reference_asymptotic"] for r in records if r["record"] == "ratio"]
+        assert ratio == [limit]
+        assert moments == ([None, None] if limit is None else [mu, mu**2])
+
+
+def test_limit_scan_of_a_mixture():
+    base = {"theory_kind": "limit_scan", "model": "mixture", "mixture": [[1, 0.6], [2, 0.8]],
+            "eps_values": [0.0, 1.0]}
+    records = cmd_theory(build_config("theory", {}, {**base, "m_rule": "sqrt"}))
+    assert [(r["model"], r["scaling"]) for r in records] == [("mixture", "sqrt")] * 2
+    assert records[0]["value"] == 1.0
+    assert records[1]["value"] == pytest.approx(math.exp(2 * math.log(2) ** 2 * 0.36**2))
+    # a p = 1 weight makes the m = eps*n ratio diverge
+    records = cmd_theory(build_config("theory", {}, {**base, "m_rule": "linear"}))
+    assert [r["value"] for r in records] == [None, None]
+    argv = ["theory"] + [f"--override={k}={json.dumps(v)}" for k, v in base.items()]
+    assert main(argv) == 2
+    assert main(argv + ["--override=m_rule=sqrt", "--override=ell=3"]) == 2
+
+
+def test_ratio_scan_checks_m_at_every_n(capsys):
+    argv = ["theory", "--override", "theory_kind=ratio_scan", "--override", "m=500",
+            "--override", "n_values=[1000,100]"]
+    assert main(argv) == 2
+    assert "field m: resolved m=500 exceeds n=100" in capsys.readouterr().err
+    sqrt = ["theory", "--override", "theory_kind=ratio_scan", "--override", "m_rule=sqrt",
+            "--override", "epsilon=1"]
+    assert main(sqrt + ["--override", "n_values=[400,1]"]) == 2
+    assert "below the normalization minimum 2" in capsys.readouterr().err
+    assert main(sqrt + ["--override", "n_values=[-4]"]) == 2
+    assert "field n_values:" in capsys.readouterr().err
+
+
 def test_cmd_comb_records():
     cfg = build_config("comb", {}, {
         "comb_kind": "counts", "n": 4, "r_values": [0.5, 1.0],

@@ -73,6 +73,21 @@ def test_rate_j2_symmetry():
             assert vals == {math.inf}
 
 
+def test_rate_j2_domain_is_the_nonnegative_column_counts():
+    # finite on every realizable triple, including those with a zero column
+    # count whose float sum rounds just below 0
+    for n in range(1, 61):
+        r12, r23, r31, _, _ = triple_grid(n)
+        assert np.all(np.isfinite(rate_j2(r12, r23, r31))), n
+    # (-0.8, 0.6, -0.8) at n = 10 has 92160 ordered triples
+    assert count_w3_exact(10, (-0.8, 0.6, -0.8)) == 92160
+    assert rate_j2(-0.8, 0.6, -0.8) == pytest.approx(0.74726, abs=1e-5)
+    assert classify_triple_regime(10, 40.0, (-0.8, 0.6, -0.8)).label == "Concentrated"
+    # off the cube [-1, 1]^3, as rate_j is
+    assert rate_j2(-3.0, 0.0, 0.0) == math.inf
+    assert rate_j2(1.0 + 1e-9, 0.0, 0.0) == math.inf
+
+
 def test_solve_ndelta_examples():
     assert solve_ndelta(4, (0, 0, 0)) == (1, 1, 1, 1)
     assert solve_ndelta(4, (1, 1, 1)) == (4, 0, 0, 0)

@@ -106,8 +106,6 @@ def test_model_spec_validation():
     assert spec.nu(0.5) == pytest.approx(0.375, abs=1e-15)
     rem = ModelSpec.rem()
     assert rem.nu(0.5) == 0.0 and rem.nu(1.0) == 1.0
-    assert ModelSpec.sk().tag == "sk" and ModelSpec.npp().tag == "npp"
-    assert ModelSpec.pure(3).tag == "pspin3"
 
 
 def test_nu_monotone_on_unit_interval():

@@ -23,6 +23,7 @@ from remlab.theory import (
     gaussian_joint_window_prob,
     intensity_mu,
     limit_constant,
+    limit_factors,
     log_marginal_window_prob,
     marginal_window_prob,
     semianalytic_moment,
@@ -240,7 +241,7 @@ def test_semianalytic_third_moment_against_independent_assembly():
                     val = _oracle_conditional(cov, lo, hi)
                 total += cnt * 2.0 ** (3 * (m - n)) * val
             engine = semianalytic_third_moment(spec, n, m, BorelWindow.single(*x_window))
-            assert engine == pytest.approx(total, rel=1e-10), (spec.tag, x_window)
+            assert engine == pytest.approx(total, rel=1e-10), (spec, x_window)
 
 
 def test_semianalytic_fixed_m_convergence_scan():
@@ -281,7 +282,7 @@ def test_semianalytic_third_moment_mc_cross_validation():
         )
         rep = factorial_moment(CountVector(counts[:, 0]), 3)
         ref = semianalytic_third_moment(spec, 24, 6.0, w)
-        assert abs(rep.estimate - ref) <= 3 * rep.stderr, (spec.tag, rep, ref)
+        assert abs(rep.estimate - ref) <= 3 * rep.stderr, (spec, rep, ref)
 
 
 def test_sk_bulk_third_moment_factorization_scale():
@@ -383,6 +384,81 @@ def test_limit_ratio_always_at_least_one():
     for eps in (0.0, 0.5, 1.0, 2.0):
         for c4 in (0.0, 0.05, -0.125):
             assert limit_constant("npp", "sqrt", eps, 2, c4=c4) >= 1.0 - 1e-12
+
+
+# float.hex() of limit_constant(model, scaling, eps, ell, c4) for ell = 1, 2,
+# taken before the constants were computed from the spec's mixture weights
+_LIMIT_PINS = {
+    ("sk", 0.0, 0.0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("sk", 0.0, 0.05): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("sk", 0.0, -0.125): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("sk", 0.05, 0.0): ("0x1.0000000000000p+0", "0x1.13d50a986c3a9p+0"),
+    ("sk", 0.05, 0.05): ("0x1.ffe0844ddafc3p-1", "0x1.136f56014b455p+0"),
+    ("sk", 0.05, -0.125): ("0x1.00275edb2fcb5p+0", "0x1.14d3f27e55abdp+0"),
+    ("sk", 0.1, 0.0): ("0x1.0000000000000p+0", "0x1.2d2050541b91dp+0"),
+    ("sk", 0.1, 0.05): ("0x1.ff821cd484c9ap-1", "0x1.2b652510f3680p+0"),
+    ("sk", 0.1, -0.125): ("0x1.009d9fc4b46efp+0", "0x1.317f7ab908cedp+0"),
+    ("sk", 0.17, 0.0): ("0x1.0000000000000p+0", "0x1.6016a4637477ep+0"),
+    ("sk", 0.17, 0.05): ("0x1.fe9483fcd4f8ap-1", "0x1.5a45405d8935bp+0"),
+    ("sk", 0.17, -0.125): ("0x1.01c891daa3253p+0", "0x1.6f108599956b9p+0"),
+    ("npp", 0.0, 0.0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("npp", 0.0, 0.05): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("npp", 0.0, -0.125): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("npp", 0.5, 0.0): ("0x1.0000000000000p+0", "0x1.45837513c59e1p+0"),
+    ("npp", 0.5, 0.05): ("0x1.f3d8d2761f229p-1", "0x1.19d1e1e101872p+0"),
+    ("npp", 0.5, -0.125): ("0x1.0fd875e9aefdep+0", "0x1.d2ba046f1eb54p+0"),
+    ("npp", 1.0, 0.0): ("0x1.0000000000000p+0", "0x1.4e99a4a269415p+1"),
+    ("npp", 1.0, 0.05): ("0x1.d117685526a8dp-1", "0x1.77fb4180e0bb7p+0"),
+    ("npp", 1.0, -0.125): ("0x1.45837513c59e1p+0", "0x1.618aa1facae3ap+3"),
+    ("npp", 2.0, 0.0): ("0x1.0000000000000p+0", "0x1.758e1e5c5a9ffp+5"),
+    ("npp", 2.0, 0.05): ("0x1.5c9ce8c22e701p-1", "0x1.29c5fc3dc8756p+2"),
+    ("npp", 2.0, -0.125): ("0x1.4e99a4a269415p+1", "0x1.d1994cae0da85p+13"),
+    ("pspin", 0.1, 0.0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("rem", 3.0, 0.0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+}
+_PIN_SCALING = {"sk": "linear", "npp": "sqrt", "pspin": "linear", "rem": "sqrt"}
+
+
+@pytest.mark.parametrize("key", sorted(_LIMIT_PINS), ids=lambda k: "-".join(map(str, k)))
+def test_limit_constant_bits_pinned(key):
+    model, eps, c4 = key
+    got = tuple(limit_constant(model, _PIN_SCALING[model], eps, ell, c4=c4).hex()
+                for ell in (1, 2))
+    assert got == _LIMIT_PINS[key]
+
+
+def test_limit_factors_follow_the_run_scaling():
+    sk, npp = ModelSpec.sk(), ModelSpec.npp()
+    assert limit_factors(sk, "linear", 0.1) == (1.0, limit_constant("sk", "linear", 0.1, 2))
+    assert limit_factors(npp, "sqrt", 1.0) == (1.0, limit_constant("npp", "sqrt", 1.0, 2))
+    # off its theorem's scaling, SK tends to 1 and the NPP ratio diverges
+    assert limit_factors(sk, "sqrt", 0.1) == (1.0, 1.0)
+    assert limit_factors(npp, "linear", 0.05) is None
+    assert limit_factors(sk, "linear", SK_EPS_MAX) is None
+    assert limit_factors(ModelSpec.pure(3), "sqrt", 1.0) == (1.0, 1.0)
+    for rule, eps in (("fixed", None), ("sqrt", 3.0), ("linear", 3.0)):
+        assert limit_factors(ModelSpec.rem(), rule, eps) == (1.0, 1.0)
+    assert limit_factors(npp, "fixed", None) == (1.0, 1.0)
+
+
+def test_mixture_limit_factors_against_the_exact_ratio():
+    # the leading-order mixture constants: (1, 0.6)+(2, 0.8) keeps
+    # a1^2 = 0.36 at m = sqrt(n), (2, 0.8)+(3, 0.6) keeps a2^2 = 0.64 at
+    # m = 0.1 n; the exact ratio on [0, 1) closes in on both
+    rows = (
+        (((1, 0.6), (2, 0.8)), "sqrt", 1.0, math.sqrt, (400, 1600, 4000),
+         (1.148635, 1.138389, 1.135153), 1.132620),
+        (((2, 0.8), (3, 0.6)), "linear", 0.1, float, (200, 800, 3200),
+         (1.089788, 1.097889, 1.101046), 1.102599),
+    )
+    for mixture, rule, eps, scale, ns, expected, limit in rows:
+        spec = ModelSpec(mixture=mixture)
+        ratio = limit_factors(spec, rule, eps)[1]
+        assert ratio == pytest.approx(limit, rel=1e-6)
+        exact = [semianalytic_pair_ratio(spec, n, eps * scale(n), W01) for n in ns]
+        assert exact == pytest.approx(expected, rel=1e-6)
+        gaps = [abs(r / ratio - 1.0) for r in exact]
+        assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_limit_constant_rejects_impossible_c4():
