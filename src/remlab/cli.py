@@ -29,6 +29,7 @@ from .pointproc import (
     CountVector,
     Normalization,
     factorial_moment,
+    gof_defined,
     moment_ratio,
     poisson_gof,
     spacing_test,
@@ -232,9 +233,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise UsageError("field mode: must be quenched or annealed")
     if cfg.seed < 0 or cfg.seed >= 2**64:
         raise UsageError("field seed: must fit in 64 bits")
+    if cfg.m_rule not in ("fixed", "sqrt", "linear"):
+        raise UsageError("field m_rule: must be fixed, sqrt or linear")
     if cfg.command in ("simulate", "gibbs"):
-        if cfg.replicas < 1:
-            raise UsageError("field replicas: must be >= 1")
+        if cfg.replicas < 2:
+            raise UsageError("field replicas: must be >= 2 for a standard error")
         _check_m(cfg.resolved_m(), cfg.n)
         cfg.model_spec()
     if cfg.command == "simulate":
@@ -248,6 +251,14 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise UsageError("field windows: ratio_scan takes exactly one window")
         for n in cfg.n_values:
             _check_m(replace(cfg, n=n).resolved_m(), n)
+    if cfg.command == "comb" and cfg.comb_kind == "counts":
+        # a pair count is at most 4^n and a triple count at most 8^n; JSON
+        # cannot write an int longer than Python's int-to-str digit limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        for base, asked in ((4, cfg.r_values), (8, cfg.triples)):
+            if limit and asked and cfg.n * math.log10(base) >= limit:
+                raise UsageError(f"field n: an exact count at n={cfg.n} could exceed "
+                                 f"Python's {limit}-digit int-to-str limit")
 
 
 def _check_m(m: float, n: int) -> None:
@@ -324,7 +335,7 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
                 "reference_asymptotic": _limit_ratio(limits),
                 "within_3se_of_poisson": bool(abs(ratio - 1.0) <= 3 * ratio_se),
             }))
-        if cfg.gof and cfg.replicas >= 1000:
+        if cfg.gof and gof_defined(cv, lam):
             records.append(_record(cfg, "poisson_gof", {
                 "window": win, "lambda": lam, **asdict(poisson_gof(cv, lam)),
             }))

@@ -2,13 +2,16 @@
 
 Every replica r derives its own generator from (seed, namespace, r), so
 results are independent of block decomposition and worker count. Replicas
-run in blocks of ``BLOCK_SIZE``; each block is drawn and reduced by a
-per-block reducer (window counts and in-window values, or Gibbs power sums)
-on the same worker thread, so energies never outlive their block. A threaded
-run keeps at most threads + 1 blocks in flight, and the calling thread merges
-the reduced blocks in replica order. ``_quenched_block`` is the one function
-that turns a cloud and a replica range into energies: an annealed replica
-draws its own cloud and then its energies through it, as a block of one.
+run in blocks of ``BLOCK_SIZE``. A block is one float64 (rows, B) matrix, a
+column of energies per replica; an annealed block pads each column with NaN
+past that replica's own cloud. ``_iter_blocks`` normalizes a block once and
+reduces it (window counts and in-window values, or Gibbs power sums) on the
+thread that drew it, so energies never outlive their block and no reducer
+knows the disorder mode. A threaded run keeps at most threads + 1 blocks in
+flight, and the calling thread merges the reduced blocks in replica order.
+``_quenched_block`` is the one function that turns a cloud and a replica
+range into energies: an annealed replica draws its own cloud and then its
+energies through it, as a block of one.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from __future__ import annotations
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from .core import Cloud, sample_cloud
 from .errors import UsageError
 from .models import CholeskySampler, ModelSpec, pick_sampler, sample_explicit
-from .pointproc import Normalization, gibbs_weights, normalize
+from .pointproc import Normalization, gibbs_weights
 
 # Namespace tags ("clou", "repl" in ASCII) keep the replica streams disjoint
 # from the cloud-sampling stream under one experiment seed.
@@ -37,8 +41,8 @@ def derive_rng(seed: int, namespace: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def experiment_cloud(n: int, m: float, seed: int, mode: str = "auto") -> Cloud:
-    return sample_cloud(n, m, derive_rng(seed, NS_CLOUD, 0), mode=mode)
+def experiment_cloud(n: int, m: float, seed: int) -> Cloud:
+    return sample_cloud(n, m, derive_rng(seed, NS_CLOUD, 0))
 
 
 def _cholesky_or_none(spec: ModelSpec, cloud: Cloud) -> CholeskySampler | None:
@@ -64,8 +68,9 @@ def _quenched_block(spec: ModelSpec, cloud: Cloud, chol: CholeskySampler | None,
     return rows.T if chol is None else chol.sample_block(rows.T)
 
 
-def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -> list:
-    """Per-replica energy vectors for one block; every replica draws its own cloud."""
+def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -> np.ndarray:
+    """Energies for one block, shape (max |X_r|, len(replicas)); every replica
+    draws its own cloud, and its column holds NaN past that cloud's size."""
     # Beyond n = 16 the full 2^n scan per replica is too slow; the Poisson-size
     # draw is within total variation 2^(m-n) <= 2^(-n/2) of it (see
     # sample_cloud). Dense clouds (m > n/2) stay exact: the distinct-string
@@ -77,7 +82,10 @@ def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -
                                  mode=cloud_mode)
         chol = _cholesky_or_none(spec, rep_cloud)
         cols.append(_quenched_block(spec, rep_cloud, chol, seed, range(r, r + 1))[:, 0])
-    return cols
+    rows = np.full((len(cols), max(map(len, cols))), np.nan)
+    for row, col in zip(rows, cols):
+        row[: len(col)] = col
+    return rows.T
 
 
 def _map_in_order(work, blocks: list, threads: int):
@@ -99,33 +107,33 @@ def _map_in_order(work, blocks: list, threads: int):
                 future.cancel()
 
 
-def _iter_blocks(spec: ModelSpec, cloud: Cloud, seed: int, replicas: int,
-                 mode: str, threads: int, progress: bool, reduce):
-    """Yield (start_index, reduce(block)) for each block, in replica order.
+def _iter_blocks(spec: ModelSpec, cloud: Cloud, norm: Normalization, seed: int,
+                 replicas: int, mode: str, threads: int, progress: bool, reduce):
+    """Yield (start_index, reduce(hp)) for each block, in replica order.
 
-    A quenched block is an (|X|, B) matrix, an annealed block a list of B
-    per-replica vectors (cloud sizes differ between replicas). The block is
-    reduced on the thread that drew it, so only the reduced result reaches
-    the caller. Quenched runs with threads > 1 keep at most threads + 1
-    blocks in flight. Annealed runs use the calling thread only: their small
-    per-replica numpy calls hold the interpreter lock, and two threads ran slower.
+    hp is the block's energies normalized in place, (H - a_n) / b_n: (|X|, B)
+    when quenched, (max |X_r|, B) with NaN padding when annealed; NaN fails
+    every window comparison. The block is reduced on the thread that drew it.
+    Quenched runs with threads > 1 keep at most threads + 1 blocks in flight.
+    Annealed runs use the calling thread only: their small per-replica numpy
+    calls hold the interpreter lock, and two threads ran slower.
     """
     if replicas < 1:
         raise UsageError("need at least one replica")
-    if mode not in ("quenched", "annealed"):
+    if mode == "annealed":
+        draw, threads = partial(_annealed_block, spec, cloud, seed), 1
+    elif mode == "quenched":
+        draw = partial(_quenched_block, spec, cloud, _cholesky_or_none(spec, cloud), seed)
+    else:
         raise UsageError(f"unknown disorder mode {mode!r}")
     blocks = [range(s, min(s + BLOCK_SIZE, replicas))
               for s in range(0, replicas, BLOCK_SIZE)]
 
-    if mode == "annealed":
-        def work(block: range):
-            return reduce(_annealed_block(spec, cloud, seed, block))
-        threads = 1
-    else:
-        chol = _cholesky_or_none(spec, cloud)
-
-        def work(block: range):
-            return reduce(_quenched_block(spec, cloud, chol, seed, block))
+    def work(block: range):
+        hp = draw(block)  # drawn for this reduction alone: normalize in place
+        hp -= norm.a_n
+        hp /= norm.b_n
+        return reduce(hp)
 
     for reduced, block in zip(_map_in_order(work, blocks, threads), blocks):
         if progress:
@@ -152,35 +160,21 @@ def count_replicas(
     (empty arrays when collect_values is false).
     """
 
-    def reduce(block):
+    def reduce(hp):
         """(B, W) counts and, when collecting, each window's in-window values."""
-        if isinstance(block, np.ndarray):
-            # the block was drawn for this reduction alone: normalize in place
-            hp = np.subtract(block, norm.a_n, out=block)
-            hp /= norm.b_n
-            counts = np.empty((hp.shape[1], len(windows)), dtype=np.int64)
-            values = []
-            for wi, window in enumerate(windows):
-                mask = window.mask(hp)
-                counts[:, wi] = mask.sum(axis=0)
-                if collect_values:
-                    values.append(hp.T[mask.T])
-            return counts, values
-        hp = (np.concatenate(block) - norm.a_n) / norm.b_n
-        starts = np.cumsum([0] + [len(col) for col in block[:-1]])  # |X| >= 2: no empty segment
-        counts = np.empty((len(block), len(windows)), dtype=np.int64)
+        counts = np.empty((hp.shape[1], len(windows)), dtype=np.int64)
         values = []
         for wi, window in enumerate(windows):
             mask = window.mask(hp)
-            counts[:, wi] = np.add.reduceat(mask, starts, dtype=np.int64)
+            counts[:, wi] = mask.sum(axis=0)
             if collect_values:
-                values.append(hp[mask])
+                values.append(hp.T[mask.T])  # replica-major, member order
         return counts, values
 
     counts = np.zeros((replicas, len(windows)), dtype=np.int64)
     pooled: list[list] = [[] for _ in windows]
     for start, (block_counts, values) in _iter_blocks(
-            spec, cloud, seed, replicas, mode, threads, progress, reduce):
+            spec, cloud, norm, seed, replicas, mode, threads, progress, reduce):
         counts[start : start + len(block_counts)] = block_counts
         for parts, part in zip(pooled, values):
             parts.append(part)
@@ -203,18 +197,18 @@ def gibbs_power_sums(
 ) -> np.ndarray:
     """Per-replica sums of Gibbs-weight powers, shape (replicas, len(powers))."""
 
-    def reduce(block):
+    def reduce(hp):
         """(B, P) power sums, one column of energies at a time."""
-        cols = block.T if isinstance(block, np.ndarray) else block
-        sums = np.empty((len(cols), len(powers)))
-        for j, col in enumerate(cols):
-            w = gibbs_weights(normalize(col, norm), beta)
+        sums = np.empty((hp.shape[1], len(powers)))
+        for j, col in enumerate(hp.T):
+            # drop the padding: a zero in np.sum would regroup its pairwise terms
+            w = gibbs_weights(col[~np.isnan(col)], beta)
             for pi, k in enumerate(powers):
                 sums[j, pi] = np.sum(w**k)
         return sums
 
     out = np.zeros((replicas, len(powers)))
-    for start, sums in _iter_blocks(spec, cloud, seed, replicas, mode, threads, False,
-                                    reduce):
+    for start, sums in _iter_blocks(spec, cloud, norm, seed, replicas, mode, threads,
+                                    False, reduce):
         out[start : start + len(sums)] = sums
     return out

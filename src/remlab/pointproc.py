@@ -175,6 +175,13 @@ class GofReport:
     passed_1pct: bool
 
 
+def gof_defined(counts: CountVector, lam: float, min_expected: float = 5.0) -> bool:
+    """Whether poisson_gof has a test: lam > 0, at least 1000 replicas, and an
+    expected count of min_expected in the widest pooled cell, counts >= 1."""
+    r = counts.replicas
+    return lam > 0.0 and r >= 1000 and r * poisson.sf(0, lam) >= min_expected
+
+
 def poisson_gof(counts: CountVector, lam: float, min_expected: float = 5.0) -> GofReport:
     """Chi-square test of the count histogram against Poisson(lam).
 
@@ -185,14 +192,15 @@ def poisson_gof(counts: CountVector, lam: float, min_expected: float = 5.0) -> G
         raise UsageError("poisson_gof needs lam > 0")
     if counts.replicas < 1000:
         raise UsageError("poisson_gof needs at least 1000 replicas")
+    if not gof_defined(counts, lam, min_expected):
+        raise UsageError("window intensity too small for a chi-square test at this replica count")
     r = counts.replicas
     kmax = int(np.max(counts.counts))
-    # find the smallest cut where the pooled upper tail still has mass >= min_expected
+    # find the largest cut whose pooled upper tail still has mass >= min_expected;
+    # gof_defined guarantees that cut = 1 has it
     cut = kmax + 1
-    while cut > 0 and r * poisson.sf(cut - 1, lam) < min_expected:
+    while r * poisson.sf(cut - 1, lam) < min_expected:
         cut -= 1
-    if cut == 0:
-        raise UsageError("window intensity too small for a chi-square test at this replica count")
     expected = np.append(r * poisson.pmf(np.arange(cut), lam), r * poisson.sf(cut - 1, lam))
     if np.any(expected < min_expected):
         raise UsageError("chi-square cells below the minimum expected count; enlarge replicas")

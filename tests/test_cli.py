@@ -97,6 +97,22 @@ def test_config_validation_errors():
         build_config("simulate", dict(REM_CFG), {"m_rule": "sqrt"})  # epsilon missing
 
 
+def test_m_rule_is_checked_for_every_command(capsys):
+    for command, extra in (("theory", ["--override", "eps_values=[1]"]),
+                           ("comb", ["--override", "r_values=[0.5]"]),
+                           ("simulate", []), ("gibbs", ["--override", "beta=3"])):
+        assert main([command, "--override", "m_rule=bogus"] + extra) == 2
+        assert "field m_rule:" in capsys.readouterr().err
+
+
+def test_replicas_below_two_are_rejected_before_the_run():
+    # a standard error needs two replicas; one used to fail after the Monte Carlo
+    for command, extra in (("simulate", {}), ("gibbs", {"beta": 3.0})):
+        with pytest.raises(UsageError, match="field replicas:"):
+            build_config(command, dict(REM_CFG), {"replicas": 1, **extra})
+    assert build_config("simulate", dict(REM_CFG), {"replicas": 2}).replicas == 2
+
+
 def test_window_entries_single_and_union():
     cfg = build_config(
         "simulate", dict(REM_CFG), {"windows": [[0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]]]}
@@ -129,6 +145,17 @@ def test_cmd_simulate_records():
         assert r["format_version"] == 1
         assert r["config"]["seed"] == 7
         assert "threads" not in r["config"]
+
+
+def test_simulate_leaves_out_an_undefined_poisson_gof():
+    # [6, 7) expects far fewer than 5 nonzero counts in 1000 replicas, so it has
+    # no chi-square test; it used to abort the run and lose [0, 1)'s records too
+    cfg = build_config("simulate", {}, {"model": "sk", "n": 40, "m": 6, "replicas": 1000,
+                                        "windows": [[0, 1], [6, 7]]})
+    records = cmd_simulate(cfg)
+    gof = [r["window"] for r in records if r["record"] == "poisson_gof"]
+    assert gof == [[[0.0, 1.0]]]
+    assert [r["window"] for r in records if r["record"] == "moment"].count([[6.0, 7.0]]) == 3
 
 
 def test_simulate_skips_the_third_moment_below_ell_3(monkeypatch):
@@ -243,6 +270,19 @@ def test_cmd_comb_records():
     assert verify[0]["pairs_matched"] and verify[0]["triples_matched"]
     with pytest.raises(UsageError):
         cmd_comb(build_config("comb", {}, {"comb_kind": "verify", "n": 20}))
+
+
+def test_comb_counts_past_the_int_digit_limit_exit_2(capsys):
+    # 4^20000 and 8^6000 have more digits than json.dumps may write for an int
+    for override in (["n=20000", "r_values=[0]"], ["n=6000", "triples=[[0,0,0]]"]):
+        argv = ["comb", "--override", "comb_kind=counts"]
+        for item in override:
+            argv += ["--override", item]
+        assert main(argv) == 2
+        assert "digit" in capsys.readouterr().err
+    (rec,) = cmd_comb(build_config("comb", {}, {"comb_kind": "counts", "n": 7000,
+                                                "r_values": [0]}))
+    assert len(str(rec["count"])) <= sys.get_int_max_str_digits()
 
 
 def _strict_json(line):

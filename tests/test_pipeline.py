@@ -5,9 +5,18 @@ import numpy as np
 import pytest
 
 from remlab.cli import main
-from remlab.models import ModelSpec
-from remlab.pipeline import BLOCK_SIZE, count_replicas, experiment_cloud, gibbs_power_sums
-from remlab.pointproc import BorelWindow, Normalization
+from remlab.core import sample_cloud
+from remlab.models import CholeskySampler, ModelSpec
+from remlab.pipeline import (
+    BLOCK_SIZE,
+    NS_CLOUD,
+    NS_REPLICA,
+    count_replicas,
+    derive_rng,
+    experiment_cloud,
+    gibbs_power_sums,
+)
+from remlab.pointproc import BorelWindow, Normalization, gibbs_weights
 
 WINDOWS = [BorelWindow.single(-7.0, -5.0), BorelWindow(((-4.0, -2.0), (-1.0, 0.5)))]
 
@@ -36,6 +45,40 @@ def test_block_merge_is_independent_of_threads(name):
         assert all(np.array_equal(a, b) for a, b in zip(p, pooled))
         s = gibbs_power_sums(spec, cloud, norm, 3.0, (2, 3), 9, replicas, threads=threads)
         assert np.array_equal(s, sums)
+
+
+def test_annealed_reductions_match_a_replica_by_replica_oracle():
+    # Each replica redraws its own cloud and energies here, outside the block
+    # engine. The run crosses a block boundary, and cloud sizes vary inside a
+    # block, so padded rows must add nothing to counts, pooled values or sums.
+    spec, n, m, seed, beta = ModelSpec.sk(), 20, 5.0, 11, 3.0
+    replicas = BLOCK_SIZE + 52
+    cloud = experiment_cloud(n, m, seed)  # an annealed run reads only its n and m
+    norm = Normalization(m)
+    counts, pooled = count_replicas(spec, cloud, norm, WINDOWS, seed, replicas,
+                                    mode="annealed", collect_values=True)
+    sums = gibbs_power_sums(spec, cloud, norm, beta, (2, 3), seed, replicas, mode="annealed")
+
+    sizes, want_counts, want_sums = set(), [], []
+    want_pooled = [[] for _ in WINDOWS]
+    for r in range(replicas):
+        # n > 16 and m <= n/2: the Poisson-size cloud draw
+        rep = sample_cloud(n, m, derive_rng(seed, NS_CLOUD, r + 1), mode="large_n")
+        z = derive_rng(seed, NS_REPLICA, r).standard_normal(len(rep))
+        hp = (CholeskySampler(spec, rep).sample_block(z[:, None])[:, 0] - norm.a_n) / norm.b_n
+        sizes.add(len(rep))
+        masks = [window.mask(hp) for window in WINDOWS]
+        want_counts.append([mask.sum() for mask in masks])
+        for parts, mask in zip(want_pooled, masks):
+            parts.append(hp[mask])
+        w = gibbs_weights(hp, beta)
+        want_sums.append([np.sum(w**2), np.sum(w**3)])
+
+    assert len(sizes) > 1 and counts.sum() > 0
+    assert np.array_equal(counts, want_counts)
+    for got, parts in zip(pooled, want_pooled):
+        assert np.array_equal(got, np.concatenate(parts))
+    assert np.array_equal(sums, want_sums)
 
 
 def test_threaded_quenched_memory_does_not_grow_with_replicas():

@@ -13,6 +13,7 @@ from remlab.pointproc import (
     Normalization,
     count_in_window,
     factorial_moment,
+    gof_defined,
     moment_ratio,
     normalize,
     poisson_gof,
@@ -164,6 +165,18 @@ def test_poisson_gof_contracts():
         poisson_gof(CountVector(np.zeros(100, dtype=int)), 0.3)
     with pytest.raises(UsageError):
         poisson_gof(CountVector(np.ones(5000, dtype=int)), 0.0)
+
+
+def test_gof_defined_is_where_poisson_gof_has_a_test():
+    # the widest pooled cell, counts >= 1, expects 1000 (1 - e^-lam): 9.95 at
+    # lam = 0.01, 0.9995 at lam = 0.001
+    counts = CountVector(np.zeros(1000, dtype=int))
+    assert gof_defined(counts, 0.01)
+    assert poisson_gof(counts, 0.01).dof >= 1
+    assert not gof_defined(counts, 0.001) and not gof_defined(counts, 0.0)
+    with pytest.raises(UsageError, match="too small"):
+        poisson_gof(counts, 0.001)
+    assert not gof_defined(CountVector(np.zeros(999, dtype=int)), 1.0)
 
 
 def _mu_inverse_cdf(u, lo, hi):
