@@ -238,6 +238,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.command in ("simulate", "gibbs"):
         if cfg.replicas < 2:
             raise UsageError("field replicas: must be >= 2 for a standard error")
+        if cfg.replicas >= 2**32 - 1:
+            # an annealed replica r seeds its cloud at index r + 1, one 32-bit word
+            raise UsageError("field replicas: must be below 2^32 - 1")
         _check_m(cfg.resolved_m(), cfg.n)
         cfg.model_spec()
     if cfg.command == "simulate":

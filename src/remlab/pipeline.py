@@ -1,27 +1,33 @@
 """Deterministic replica machinery shared by the CLI commands and experiments.
 
 Every replica r derives its own generator from (seed, namespace, r), so
-results are independent of block decomposition and worker count. Replicas
-run in blocks of ``BLOCK_SIZE``. A block is one float64 (rows, B) matrix, a
-column of energies per replica; an annealed block pads each column with NaN
-past that replica's own cloud. ``_iter_blocks`` normalizes a block once and
-reduces it (window counts and in-window values, or Gibbs power sums) on the
-thread that drew it, so energies never outlive their block and no reducer
-knows the disorder mode. A threaded run keeps at most threads + 1 blocks in
-flight, and the calling thread merges the reduced blocks in replica order.
-``_quenched_block`` is the one function that turns a cloud and a replica
-range into energies: an annealed replica draws its own cloud and then its
-energies through it, as a block of one.
+results are independent of block decomposition and worker count. The stream
+is numpy's ``SeedSequence(seed, spawn_key=(namespace, r))`` seeding PCG64;
+``replica_rngs`` computes the state words for a whole block of indices in
+one vectorized pass. Replicas run in blocks of ``BLOCK_SIZE``. A block is
+one float64 (rows, B) matrix, a column of energies per replica; an annealed
+block pads each column with NaN past that replica's own cloud.
+``_iter_blocks`` normalizes a block once and reduces it (window counts and
+in-window values, or Gibbs power sums) on the thread that drew it, so
+energies never outlive their block and no reducer knows the disorder mode.
+A threaded run keeps at most threads + 1 blocks in flight, and the calling
+thread merges the reduced blocks in replica order. ``_quenched_block`` is
+the one function that turns a cloud and replica generators into energies:
+an annealed replica draws its own cloud and then its energies through it,
+as a block of one, while its block's cloud and energy generators still come
+from one ``replica_rngs`` call each.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import Cloud, sample_cloud
 from .errors import UsageError
@@ -36,9 +42,91 @@ NS_REPLICA = 0x7265706C
 BLOCK_SIZE = 2048
 
 
+# numpy's SeedSequence hash (bit_generator.pyx; its output is frozen by NEP 19)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list:
+    """Little-endian 32-bit words of a non-negative int, [0] for 0, as numpy splits it."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(const: int, mult: int):
+    """The running (xor, multiply) constant pairs of one SeedSequence hash."""
+    while True:
+        advanced = (const * mult) & _MASK32
+        yield const, advanced
+        const = advanced
+
+
+def _hash(value, constants):
+    xor, mult = next(constants)
+    value = ((value ^ xor) * mult) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+class _StateWords(ISeedSequence):
+    """The four uint64 words a SeedSequence would hand PCG64, precomputed."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed state holds exactly 4 uint64 words")
+        return self.words.copy()
+
+
+def replica_rngs(seed: int, namespace: int, indices) -> list:
+    """Generators for each r in ``indices``, equal to those seeded by
+    ``SeedSequence(entropy=seed, spawn_key=(namespace, r))``.
+
+    The entropy is the seed's words (zero-padded to the pool size), then the
+    namespace's, then r's; r enters the pool last, so everything before it is
+    mixed once, as Python ints, and only the final word is hashed per replica,
+    as uint64 arrays masked to 32 bits. Each index must fit in one 32-bit word.
+    """
+    seed, namespace = operator.index(seed), operator.index(namespace)
+    if seed < 0 or namespace < 0:
+        raise UsageError("seed and namespace must be non-negative integers")
+    idx = np.asarray(indices)
+    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() > _MASK32):
+        raise UsageError("replica indices must be integers in [0, 2^32)")
+    run = _uint32_words(seed)
+    entropy = run + [0] * (_POOL_SIZE - len(run)) + _uint32_words(namespace)
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, consts) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
+    for word in [*entropy[_POOL_SIZE:], idx.astype(np.uint64).ravel()]:
+        pool = [_mix(p, _hash(word, consts)) for p in pool]
+    # generate_state(4, uint64): eight 32-bit words cycling over the pool,
+    # paired little-endian into uint64
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    halves = [_hash(pool[i % _POOL_SIZE], consts) for i in range(2 * _POOL_SIZE)]
+    words = np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(halves[::2], halves[1::2])],
+                     axis=1)
+    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in words]
+
+
 def derive_rng(seed: int, namespace: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(namespace, index))
-    return np.random.Generator(np.random.PCG64(ss))
+    return replica_rngs(seed, namespace, [index])[0]
 
 
 def experiment_cloud(n: int, m: float, seed: int) -> Cloud:
@@ -51,16 +139,16 @@ def _cholesky_or_none(spec: ModelSpec, cloud: Cloud) -> CholeskySampler | None:
 
 
 def _quenched_block(spec: ModelSpec, cloud: Cloud, chol: CholeskySampler | None,
-                    seed: int, replicas: range) -> np.ndarray:
-    """Energies for one block, shape (|X|, len(replicas)), column per replica.
+                    rngs: list) -> np.ndarray:
+    """Energies for one block, shape (|X|, len(rngs)), column per replica
+    generator.
 
     Each replica is drawn into a row of a C-contiguous (B, |X|) buffer; the
     block is that buffer's transpose (mapped through the factor ``chol`` on
     the Cholesky route; ``chol`` is None on the explicit route).
     """
-    rows = np.empty((len(replicas), len(cloud)))
-    for row, r in zip(rows, replicas):
-        rng = derive_rng(seed, NS_REPLICA, r)
+    rows = np.empty((len(rngs), len(cloud)))
+    for row, rng in zip(rows, rngs):
         if chol is not None or spec.is_rem:
             rng.standard_normal(out=row)
         else:
@@ -77,11 +165,12 @@ def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -
     # draw cannot fill them.
     cloud_mode = "large_n" if cloud.n > 16 and cloud.m <= cloud.n / 2 else "exact"
     cols = []
-    for r in replicas:
-        rep_cloud = sample_cloud(cloud.n, cloud.m, derive_rng(seed, NS_CLOUD, r + 1),
-                                 mode=cloud_mode)
+    for cloud_rng, rng in zip(
+            replica_rngs(seed, NS_CLOUD, range(replicas.start + 1, replicas.stop + 1)),
+            replica_rngs(seed, NS_REPLICA, replicas)):
+        rep_cloud = sample_cloud(cloud.n, cloud.m, cloud_rng, mode=cloud_mode)
         chol = _cholesky_or_none(spec, rep_cloud)
-        cols.append(_quenched_block(spec, rep_cloud, chol, seed, range(r, r + 1))[:, 0])
+        cols.append(_quenched_block(spec, rep_cloud, chol, [rng])[:, 0])
     rows = np.full((len(cols), max(map(len, cols))), np.nan)
     for row, col in zip(rows, cols):
         row[: len(col)] = col
@@ -123,7 +212,10 @@ def _iter_blocks(spec: ModelSpec, cloud: Cloud, norm: Normalization, seed: int,
     if mode == "annealed":
         draw, threads = partial(_annealed_block, spec, cloud, seed), 1
     elif mode == "quenched":
-        draw = partial(_quenched_block, spec, cloud, _cholesky_or_none(spec, cloud), seed)
+        chol = _cholesky_or_none(spec, cloud)
+
+        def draw(block: range) -> np.ndarray:
+            return _quenched_block(spec, cloud, chol, replica_rngs(seed, NS_REPLICA, block))
     else:
         raise UsageError(f"unknown disorder mode {mode!r}")
     blocks = [range(s, min(s + BLOCK_SIZE, replicas))

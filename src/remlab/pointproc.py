@@ -185,8 +185,9 @@ def gof_defined(counts: CountVector, lam: float, min_expected: float = 5.0) -> b
 def poisson_gof(counts: CountVector, lam: float, min_expected: float = 5.0) -> GofReport:
     """Chi-square test of the count histogram against Poisson(lam).
 
-    Upper-tail bins are pooled until every expected cell is at least
-    min_expected; dof = bins - 1 (lam is given, not fitted).
+    The upper tail and the lower tail are each pooled into the smallest cell
+    that expects at least min_expected; dof = bins - 1 (lam is given, not
+    fitted).
     """
     if lam <= 0.0:
         raise UsageError("poisson_gof needs lam > 0")
@@ -201,11 +202,19 @@ def poisson_gof(counts: CountVector, lam: float, min_expected: float = 5.0) -> G
     cut = kmax + 1
     while r * poisson.sf(cut - 1, lam) < min_expected:
         cut -= 1
-    expected = np.append(r * poisson.pmf(np.arange(cut), lam), r * poisson.sf(cut - 1, lam))
+    # the lower cell pools counts 0..low; cut > low keeps at least two cells
+    low = 0
+    while r * poisson.cdf(low, lam) < min_expected:
+        low += 1
+    cut = max(cut, low + 1)
+    cells = r * poisson.pmf(np.arange(cut), lam)
+    expected = np.concatenate([[cells[: low + 1].sum()], cells[low + 1 :],
+                               [r * poisson.sf(cut - 1, lam)]])
     if np.any(expected < min_expected):
         raise UsageError("chi-square cells below the minimum expected count; enlarge replicas")
     observed = np.bincount(counts.counts, minlength=cut + 1)
-    observed = np.append(observed[:cut], observed[cut:].sum())
+    observed = np.concatenate([[observed[: low + 1].sum()], observed[low + 1 : cut],
+                               [observed[cut:].sum()]])
     stat = float(np.sum((observed - expected) ** 2 / expected))
     dof = len(expected) - 1
     pvalue = float(chi2.sf(stat, dof))

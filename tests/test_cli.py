@@ -113,6 +113,17 @@ def test_replicas_below_two_are_rejected_before_the_run():
     assert build_config("simulate", dict(REM_CFG), {"replicas": 2}).replicas == 2
 
 
+def test_replicas_past_one_index_word_are_rejected_before_the_run(capsys):
+    # a replica generator takes its index as one 32-bit word, and annealed
+    # replica r seeds its cloud at index r + 1
+    for command, extra in (("simulate", {}), ("gibbs", {"beta": 3.0})):
+        with pytest.raises(UsageError, match="field replicas:"):
+            build_config(command, dict(REM_CFG), {"replicas": 2**32 - 1, **extra})
+    assert build_config("simulate", dict(REM_CFG), {"replicas": 2**32 - 2}).replicas == 2**32 - 2
+    assert main(["simulate", "--override", f"replicas={2**32}"]) == 2
+    assert "field replicas:" in capsys.readouterr().err
+
+
 def test_window_entries_single_and_union():
     cfg = build_config(
         "simulate", dict(REM_CFG), {"windows": [[0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]]]}
@@ -156,6 +167,21 @@ def test_simulate_leaves_out_an_undefined_poisson_gof():
     gof = [r["window"] for r in records if r["record"] == "poisson_gof"]
     assert gof == [[[0.0, 1.0]]]
     assert [r["window"] for r in records if r["record"] == "moment"].count([[6.0, 7.0]]) == 3
+
+
+def test_simulate_pools_a_thin_lower_tail(tmp_path):
+    # [-3, 1) expects about ten points per replica, so its low counts expect
+    # fewer than 5 of 1000 replicas each; the chi-square test used to raise,
+    # and the run exited 2 without writing any record, not even [0, 1)'s
+    out = tmp_path / "x.ndjson"
+    assert main(["simulate", "--out", str(out), "--override", "model=rem",
+                 "--override", "n=64", "--override", "m=12", "--override", "replicas=1000",
+                 "--override", "windows=[[0,1],[-3,1]]"]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    first = [r for r in records if r.get("window") == [[0.0, 1.0]]]
+    assert [r["ell"] for r in first if r["record"] == "moment"] == [1, 2, 3]
+    gof = {r["window"][0][0]: r for r in records if r["record"] == "poisson_gof"}
+    assert sorted(gof) == [-3.0, 0.0] and gof[-3.0]["dof"] >= 1
 
 
 def test_simulate_skips_the_third_moment_below_ell_3(monkeypatch):

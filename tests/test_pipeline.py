@@ -3,18 +3,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from remlab import pipeline
 from remlab.cli import main
 from remlab.core import sample_cloud
-from remlab.models import CholeskySampler, ModelSpec
+from remlab.errors import UsageError
+from remlab.models import CholeskySampler, ModelSpec, pick_sampler, sample_explicit
 from remlab.pipeline import (
     BLOCK_SIZE,
     NS_CLOUD,
     NS_REPLICA,
     count_replicas,
-    derive_rng,
     experiment_cloud,
     gibbs_power_sums,
+    replica_rngs,
 )
 from remlab.pointproc import BorelWindow, Normalization, gibbs_weights
 
@@ -26,6 +30,96 @@ SPECS = {
     "rem": ModelSpec.rem(),
     "npp-laplace-explicit": ModelSpec.npp("laplace"),
 }
+
+
+def _numpy_rng(seed: int, namespace: int, index: int) -> np.random.Generator:
+    """Replica ``index``'s generator from numpy's own SeedSequence, not remlab's."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(namespace, index))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**128, 2**200)),
+       namespace=st.sampled_from([NS_CLOUD, NS_REPLICA]),
+       extra=st.lists(st.integers(0, 2**32 - 1), max_size=6))
+@example(seed=0, namespace=NS_CLOUD, extra=[])
+@example(seed=2**128 + 5, namespace=NS_REPLICA, extra=[1, 2**31])
+def test_replica_rngs_match_numpy_seed_sequence(seed, namespace, extra):
+    # a seed of 2^128 or more has more run-entropy words than the 4-word pool
+    indices = [0, 2**32 - 1, *extra]
+    for rng, r in zip(replica_rngs(seed, namespace, indices), indices, strict=True):
+        want = _numpy_rng(seed, namespace, r)
+        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64),
+                              want.bit_generator.seed_seq.generate_state(4, np.uint64))
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(rng.standard_normal(64), want.standard_normal(64))
+
+
+def test_replica_rngs_refuse_indices_past_one_word():
+    # no silent fallback to a per-replica SeedSequence for a two-word index
+    for bad in ([2**32], [3, -1], [0.5]):
+        with pytest.raises(UsageError, match="replica indices"):
+            replica_rngs(1, NS_REPLICA, bad)
+    assert replica_rngs(1, NS_REPLICA, range(0)) == []
+
+
+def test_blocks_derive_no_generator_one_at_a_time(monkeypatch):
+    # a 3-block quenched run and a 2-block annealed run, each with its
+    # experiment cloud, seed through replica_rngs: no SeedSequence per replica
+    made, derived = [], []
+    seed_sequence, derive_rng = np.random.SeedSequence, pipeline.derive_rng
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda *a, **k: made.append(a) or seed_sequence(*a, **k))
+    monkeypatch.setattr(pipeline, "derive_rng", lambda *a: derived.append(a) or derive_rng(*a))
+    norm = Normalization(4.0)
+    for mode, replicas in (("quenched", 2 * BLOCK_SIZE + 5), ("annealed", BLOCK_SIZE + 3)):
+        made.clear()
+        derived.clear()
+        cloud = experiment_cloud(10, 4.0, seed=2)
+        counts, _ = count_replicas(ModelSpec.sk(), cloud, norm, WINDOWS, 2, replicas, mode=mode)
+        assert counts.shape == (replicas, len(WINDOWS))
+        assert len(made) <= 1 and len(derived) <= 1, (mode, len(made), len(derived))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_quenched_reductions_match_a_replica_by_replica_oracle(name):
+    # Each replica's energies come from numpy's SeedSequence here; the
+    # Cholesky route maps each block's stacked normals with the one GEMM the
+    # engine uses, so the comparison is exact. The run crosses a block boundary.
+    spec, seed, beta = SPECS[name], 13, 3.0
+    cloud = experiment_cloud(12, 5.0, seed=3)
+    norm = Normalization(5.0)
+    replicas = BLOCK_SIZE + 37
+    counts, pooled = count_replicas(spec, cloud, norm, WINDOWS, seed, replicas,
+                                    collect_values=True)
+    sums = gibbs_power_sums(spec, cloud, norm, beta, (2, 3), seed, replicas)
+
+    chol = CholeskySampler(spec, cloud) if pick_sampler(spec, cloud) == "cholesky" else None
+    energies = []
+    for start in range(0, replicas, BLOCK_SIZE):
+        rngs = [_numpy_rng(seed, NS_REPLICA, r)
+                for r in range(start, min(start + BLOCK_SIZE, replicas))]
+        if chol is not None:
+            z = np.stack([rng.standard_normal(len(cloud)) for rng in rngs], axis=1)
+            energies += list(chol.sample_block(z).T)
+        else:
+            energies += [sample_explicit(spec, cloud, rng) for rng in rngs]
+    want_counts, want_sums = [], []
+    want_pooled = [[] for _ in WINDOWS]
+    for h in energies:
+        hp = (h - norm.a_n) / norm.b_n
+        masks = [window.mask(hp) for window in WINDOWS]
+        want_counts.append([mask.sum() for mask in masks])
+        for parts, mask in zip(want_pooled, masks):
+            parts.append(hp[mask])
+        w = gibbs_weights(hp, beta)
+        want_sums.append([np.sum(w**2), np.sum(w**3)])
+
+    assert counts.sum() > 0
+    assert np.array_equal(counts, want_counts)
+    for got, parts in zip(pooled, want_pooled):
+        assert np.array_equal(got, np.concatenate(parts))
+    assert np.array_equal(sums, want_sums)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -49,7 +143,7 @@ def test_block_merge_is_independent_of_threads(name):
 
 def test_annealed_reductions_match_a_replica_by_replica_oracle():
     # Each replica redraws its own cloud and energies here, outside the block
-    # engine. The run crosses a block boundary, and cloud sizes vary inside a
+    # engine, from numpy's SeedSequence. The run crosses a block boundary, and cloud sizes vary inside a
     # block, so padded rows must add nothing to counts, pooled values or sums.
     spec, n, m, seed, beta = ModelSpec.sk(), 20, 5.0, 11, 3.0
     replicas = BLOCK_SIZE + 52
@@ -63,8 +157,8 @@ def test_annealed_reductions_match_a_replica_by_replica_oracle():
     want_pooled = [[] for _ in WINDOWS]
     for r in range(replicas):
         # n > 16 and m <= n/2: the Poisson-size cloud draw
-        rep = sample_cloud(n, m, derive_rng(seed, NS_CLOUD, r + 1), mode="large_n")
-        z = derive_rng(seed, NS_REPLICA, r).standard_normal(len(rep))
+        rep = sample_cloud(n, m, _numpy_rng(seed, NS_CLOUD, r + 1), mode="large_n")
+        z = _numpy_rng(seed, NS_REPLICA, r).standard_normal(len(rep))
         hp = (CholeskySampler(spec, rep).sample_block(z[:, None])[:, 0] - norm.a_n) / norm.b_n
         sizes.add(len(rep))
         masks = [window.mask(hp) for window in WINDOWS]

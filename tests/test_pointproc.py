@@ -154,6 +154,18 @@ def test_poisson_gof_calibration():
     assert passed / trials >= 0.95
 
 
+def test_poisson_gof_pools_the_lower_tail():
+    # at lam = 16 and 1000 replicas, counts 0..6 together expect only 4.0, so
+    # counts 0..7 form the lower cell (10.0); the test runs and is calibrated
+    rng = np.random.default_rng(5)
+    passed = 0
+    trials = 60
+    for _ in range(trials):
+        rep = poisson_gof(CountVector(rng.poisson(16.0, 1000)), 16.0)
+        passed += rep.passed_1pct
+    assert passed / trials >= 0.95
+
+
 def test_poisson_gof_rejects_degenerate():
     counts = CountVector(np.ones(5000, dtype=int))
     rep = poisson_gof(counts, 1.0)
