@@ -506,7 +506,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, help="64-bit experiment seed")
     parser.add_argument("--threads", type=int,
-                        help="worker threads for quenched replica blocks (annealed runs use one)")
+                        help="worker threads for quenched replica blocks, at most the usable "
+                             "CPUs (annealed runs use one)")
     parser.add_argument("--out", help="output path for NDJSON records (default stdout)")
     parser.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config field (repeatable)")

@@ -52,16 +52,28 @@ class CouplingDist:
         """Inverse-CDF sampling from shared uniforms.
 
         Every kind consumes one 53-bit uniform per draw, so the replica
-        stream layout is identical across coupling kinds.
+        stream layout is identical across coupling kinds. The law is applied
+        in place, one elementwise step at a time.
         """
-        u = (rng.integers(0, 1 << 53, size=size, dtype=np.int64) + 0.5) / float(1 << 53)
+        u = rng.integers(0, 1 << 53, size=size, dtype=np.int64) + 0.5
+        u /= float(1 << 53)
         if self.kind == "gaussian":
-            return ndtri(u)
+            return ndtri(u, out=u)
         if self.kind == "uniform":
-            return math.sqrt(3.0) * (2.0 * u - 1.0)
-        # unit-variance Laplace: scale 1/sqrt(2)
-        half = u - 0.5
-        return -np.sign(half) * np.log1p(-2.0 * np.abs(half)) / math.sqrt(2.0)
+            u *= 2.0
+            u -= 1.0
+            u *= math.sqrt(3.0)
+            return u
+        # unit-variance Laplace: -sign(h) log1p(-2|h|) / sqrt(2), h = u - 0.5;
+        # negating where h >= 0 gives the same bits, +0.0 at h = 0 included
+        u -= 0.5
+        flip = u >= 0.0
+        np.abs(u, out=u)
+        u *= -2.0
+        np.log1p(u, out=u)
+        np.negative(u, out=u, where=flip)
+        u /= math.sqrt(2.0)
+        return u
 
 
 @dataclass(frozen=True)

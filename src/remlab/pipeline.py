@@ -4,23 +4,28 @@ Every replica r derives its own generator from (seed, namespace, r), so
 results are independent of block decomposition and worker count. The stream
 is numpy's ``SeedSequence(seed, spawn_key=(namespace, r))`` seeding PCG64;
 ``replica_rngs`` computes the state words for a whole block of indices in
-one vectorized pass. Replicas run in blocks of ``BLOCK_SIZE``. A block is
-one float64 (rows, B) matrix, a column of energies per replica; an annealed
-block pads each column with NaN past that replica's own cloud.
-``_iter_blocks`` normalizes a block once and reduces it (window counts and
-in-window values, or Gibbs power sums) on the thread that drew it, so
-energies never outlive their block and no reducer knows the disorder mode.
-A threaded run keeps at most threads + 1 blocks in flight, and the calling
-thread merges the reduced blocks in replica order. ``_quenched_block`` is
-the one function that turns a cloud and replica generators into energies:
-an annealed replica draws its own cloud and then its energies through it,
-as a block of one, while its block's cloud and energy generators still come
-from one ``replica_rngs`` call each.
+one vectorized pass. A block is one float64 (rows, B) matrix, a column of
+energies per replica; an annealed block pads each column with NaN past that
+replica's own cloud. Block widths follow the route: the Cholesky route and
+annealed runs use ``BLOCK_SIZE`` columns, because a GEMM rounds by how its
+columns are partitioned; the explicit and REM routes draw and reduce each
+column alone, so they split a run into about four blocks per worker, at
+most ``BLOCK_SIZE`` wide. A quenched run starts min(threads, usable CPUs)
+workers. ``_iter_blocks`` normalizes a block once and reduces it (window
+counts and in-window values, or Gibbs power sums) on the thread that drew
+it, so energies never outlive their block and no reducer knows the disorder
+mode. A threaded run keeps at most workers + 1 blocks in flight, and the
+calling thread merges the reduced blocks in replica order.
+``_quenched_block`` is the one function that turns a cloud and replica
+generators into energies: an annealed replica draws its own cloud and then
+its energies through it, as a block of one, while its block's cloud and
+energy generators still come from one ``replica_rngs`` call each.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -177,16 +182,16 @@ def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -
     return rows.T
 
 
-def _map_in_order(work, blocks: list, threads: int):
-    """Yield work(block) for each block in order, with at most threads + 1 in flight."""
-    if threads == 1:
+def _map_in_order(work, blocks: list, workers: int):
+    """Yield work(block) for each block in order, with at most workers + 1 in flight."""
+    if workers == 1:
         yield from map(work, blocks)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         try:
             for block in blocks:
-                if len(pending) > threads:
+                if len(pending) > workers:
                     yield pending.popleft().result()
                 pending.append(pool.submit(work, block))
             while pending:
@@ -196,6 +201,12 @@ def _map_in_order(work, blocks: list, threads: int):
                 future.cancel()
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _iter_blocks(spec: ModelSpec, cloud: Cloud, norm: Normalization, seed: int,
                  replicas: int, mode: str, threads: int, progress: bool, reduce):
     """Yield (start_index, reduce(hp)) for each block, in replica order.
@@ -203,23 +214,36 @@ def _iter_blocks(spec: ModelSpec, cloud: Cloud, norm: Normalization, seed: int,
     hp is the block's energies normalized in place, (H - a_n) / b_n: (|X|, B)
     when quenched, (max |X_r|, B) with NaN padding when annealed; NaN fails
     every window comparison. The block is reduced on the thread that drew it.
-    Quenched runs with threads > 1 keep at most threads + 1 blocks in flight.
-    Annealed runs use the calling thread only: their small per-replica numpy
-    calls hold the interpreter lock, and two threads ran slower.
+
+    Quenched runs use workers = min(threads, usable CPUs) threads and keep at
+    most workers + 1 blocks in flight. On the Cholesky route a block is
+    ``BLOCK_SIZE`` wide whatever the worker count: its one GEMM rounds by
+    how the columns are partitioned. On the explicit and REM routes each
+    column is drawn from its own generator and reduced alone, so no split
+    can move a bit; blocks there are ceil(replicas / (4 workers)) wide, at
+    most ``BLOCK_SIZE``, which gives every worker a share of a run below one
+    block. Annealed runs use the calling thread only, in ``BLOCK_SIZE``
+    blocks: their small per-replica numpy calls hold the interpreter lock,
+    and two threads ran slower.
     """
     if replicas < 1:
         raise UsageError("need at least one replica")
+    if threads < 1:
+        raise UsageError("need at least one thread")
+    width = BLOCK_SIZE
     if mode == "annealed":
-        draw, threads = partial(_annealed_block, spec, cloud, seed), 1
+        draw, workers = partial(_annealed_block, spec, cloud, seed), 1
     elif mode == "quenched":
         chol = _cholesky_or_none(spec, cloud)
+        workers = min(threads, _usable_cpus())
+        if chol is None:
+            width = min(BLOCK_SIZE, -(-replicas // (4 * workers)))
 
         def draw(block: range) -> np.ndarray:
             return _quenched_block(spec, cloud, chol, replica_rngs(seed, NS_REPLICA, block))
     else:
         raise UsageError(f"unknown disorder mode {mode!r}")
-    blocks = [range(s, min(s + BLOCK_SIZE, replicas))
-              for s in range(0, replicas, BLOCK_SIZE)]
+    blocks = [range(s, min(s + width, replicas)) for s in range(0, replicas, width)]
 
     def work(block: range):
         hp = draw(block)  # drawn for this reduction alone: normalize in place
@@ -227,7 +251,7 @@ def _iter_blocks(spec: ModelSpec, cloud: Cloud, norm: Normalization, seed: int,
         hp /= norm.b_n
         return reduce(hp)
 
-    for reduced, block in zip(_map_in_order(work, blocks, threads), blocks):
+    for reduced, block in zip(_map_in_order(work, blocks, workers), blocks):
         if progress:
             print(f"replicas {block.stop}/{replicas}", file=sys.stderr)
         yield block.start, reduced

@@ -100,6 +100,14 @@ SCENARIOS = {
         + _ov(model="pspin", p=3, n=18, m=5, replicas=800, mode="annealed"),
         "5e8cbf10a7008e92db143d1c6771f0769a3671a06ee70c0def7c9188a48f69da",
     ),
+    # quenched explicit-coupling replicas (non-Gaussian law) under one block
+    # at two threads, with pooled spacing values from both windows
+    "simulate-sk-laplace-quenched-threaded": (
+        ["simulate", "--seed", "37", "--threads", "2"]
+        + _ov(model="sk", coupling="laplace", n=64, m=5, replicas=600,
+              windows="[[0,1],[-2,0]]"),
+        "2ef08f3f2243007cd0b35fb19b29246f4b23fcdf141f317c249c13a4a0650927",
+    ),
     # members wider than one 64-bit word: the sort order spans byte columns
     "simulate-sk-quenched-multiword": (
         ["simulate", "--seed", "19"] + _ov(model="sk", n=70, m=6, replicas=600),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtri
 
 from remlab.core import Cloud, sample_cloud
 from remlab.errors import NumericalError, UsageError
@@ -75,6 +76,36 @@ def test_coupling_draws_variance_and_parity():
         x = CouplingDist(kind).draw(np.random.default_rng(0), 400_000)
         assert abs(x.mean()) < 4.0 / math.sqrt(len(x))
         assert abs(x.var() - 1.0) < 0.02
+
+
+def _draw_oracle(kind, rng, size):
+    """The out-of-place inverse-CDF formula that ``CouplingDist.draw`` evaluates in place."""
+    u = (rng.integers(0, 1 << 53, size=size, dtype=np.int64) + 0.5) / float(1 << 53)
+    if kind == "gaussian":
+        return ndtri(u)
+    if kind == "uniform":
+        return math.sqrt(3.0) * (2.0 * u - 1.0)
+    half = u - 0.5
+    return -np.sign(half) * np.log1p(-2.0 * np.abs(half)) / math.sqrt(2.0)
+
+
+class _FixedIntegers:
+    """Hands out fixed 53-bit integers: both ends, and u = 0.5 (h = 0) with its neighbours."""
+
+    def integers(self, low, high, size, dtype):
+        return np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2], dtype=dtype)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "laplace"])
+def test_coupling_draw_in_place_is_bit_identical(kind):
+    # compared as bytes, so the sign of a zero counts too
+    dist = CouplingDist(kind)
+    for seed in range(20):
+        got = dist.draw(np.random.default_rng(seed), (64, 48))
+        want = _draw_oracle(kind, np.random.default_rng(seed), (64, 48))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got, want = dist.draw(_FixedIntegers(), 6), _draw_oracle(kind, _FixedIntegers(), 6)
+    assert np.all(np.isfinite(got)) and got.tobytes() == want.tobytes()
 
 
 def test_estimate_c4_empirical():

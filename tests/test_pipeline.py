@@ -123,22 +123,81 @@ def test_quenched_reductions_match_a_replica_by_replica_oracle(name):
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_block_merge_is_independent_of_threads(name):
+def test_block_merge_is_independent_of_threads(name, monkeypatch):
+    # Four usable CPUs, so on the explicit and REM routes threads 1, 2 and 3
+    # really split a run differently (300 replicas: blocks of 75, 38 and 25).
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
     spec = SPECS[name]
     cloud = experiment_cloud(12, 5.0, seed=3)
     norm = Normalization(5.0)
-    replicas = 5 * BLOCK_SIZE + 7
-    counts, pooled = count_replicas(spec, cloud, norm, WINDOWS, 9, replicas,
-                                    threads=1, collect_values=True)
-    sums = gibbs_power_sums(spec, cloud, norm, 3.0, (2, 3), 9, replicas, threads=1)
-    assert counts.shape == (replicas, len(WINDOWS)) and counts.sum() > 0
-    for threads in (2, 3):
-        c, p = count_replicas(spec, cloud, norm, WINDOWS, 9, replicas,
-                              threads=threads, collect_values=True)
-        assert np.array_equal(c, counts)
-        assert all(np.array_equal(a, b) for a, b in zip(p, pooled))
-        s = gibbs_power_sums(spec, cloud, norm, 3.0, (2, 3), 9, replicas, threads=threads)
-        assert np.array_equal(s, sums)
+    for replicas in (5 * BLOCK_SIZE + 7, 300):
+        counts, pooled = count_replicas(spec, cloud, norm, WINDOWS, 9, replicas,
+                                        threads=1, collect_values=True)
+        sums = gibbs_power_sums(spec, cloud, norm, 3.0, (2, 3), 9, replicas, threads=1)
+        assert counts.shape == (replicas, len(WINDOWS)) and counts.sum() > 0
+        for threads in (2, 3):
+            c, p = count_replicas(spec, cloud, norm, WINDOWS, 9, replicas,
+                                  threads=threads, collect_values=True)
+            assert np.array_equal(c, counts)
+            assert all(np.array_equal(a, b) for a, b in zip(p, pooled))
+            s = gibbs_power_sums(spec, cloud, norm, 3.0, (2, 3), 9, replicas,
+                                 threads=threads)
+            assert np.array_equal(s, sums)
+
+
+class _BlockSpy:
+    """Records the width of every quenched block and the size of every pool.
+
+    A pool asked for more workers than the host's usable CPUs fails before
+    any thread starts.
+    """
+
+    def __init__(self, monkeypatch):
+        self.widths, self.pools = [], []
+        rngs, pool = pipeline.replica_rngs, pipeline.ThreadPoolExecutor
+
+        def replica_rngs(seed, namespace, indices):
+            self.widths.append(len(indices))
+            return rngs(seed, namespace, indices)
+
+        def thread_pool(max_workers):
+            assert max_workers <= pipeline._usable_cpus(), max_workers
+            self.pools.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(pipeline, "replica_rngs", replica_rngs)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", thread_pool)
+
+    def clear(self):
+        self.widths.clear()
+        self.pools.clear()
+
+
+def test_block_width_follows_the_route_and_workers_stay_under_the_cpus(monkeypatch):
+    spy = _BlockSpy(monkeypatch)
+    norm = Normalization(5.0)
+    cpus = pipeline._usable_cpus()
+
+    # explicit route below one block: every worker gets a share
+    cloud = experiment_cloud(20, 5.0, seed=3)
+    spec = ModelSpec.sk("laplace")
+    assert pipeline._cholesky_or_none(spec, cloud) is None
+    for threads in (2, 64):
+        spy.clear()
+        count_replicas(spec, cloud, norm, WINDOWS, 9, 400, threads=threads)
+        workers = min(threads, cpus)
+        assert len(spy.widths) >= 4 and sum(spy.widths) == 400
+        assert max(spy.widths) == -(-400 // (4 * workers))
+        assert spy.pools == ([workers] if workers > 1 else [])
+
+    # Cholesky route: full blocks at every thread count
+    spec = ModelSpec.sk()
+    assert pipeline._cholesky_or_none(spec, cloud) is not None
+    for threads in (1, 2, 3, 64):
+        spy.clear()
+        count_replicas(spec, cloud, norm, WINDOWS, 9, 2 * BLOCK_SIZE + 5, threads=threads)
+        assert spy.widths == [BLOCK_SIZE, BLOCK_SIZE, 5]
+        assert spy.pools == ([min(threads, cpus)] if min(threads, cpus) > 1 else [])
 
 
 def test_annealed_reductions_match_a_replica_by_replica_oracle():
