@@ -57,6 +57,8 @@ class CouplingDist:
         """
         u = rng.integers(0, 1 << 53, size=size, dtype=np.int64) + 0.5
         u /= float(1 << 53)
+        # 2^53 - 1 + 0.5 rounds to 2^53: keep u below 1 so no law is infinite
+        np.minimum(u, np.nextafter(1.0, 0.0), out=u)
         if self.kind == "gaussian":
             return ndtri(u, out=u)
         if self.kind == "uniform":

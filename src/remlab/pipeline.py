@@ -14,8 +14,9 @@ most ``BLOCK_SIZE`` wide. A quenched run starts min(threads, usable CPUs)
 workers. ``_iter_blocks`` normalizes a block once and reduces it (window
 counts and in-window values, or Gibbs power sums) on the thread that drew
 it, so energies never outlive their block and no reducer knows the disorder
-mode. A threaded run keeps at most workers + 1 blocks in flight, and the
-calling thread merges the reduced blocks in replica order.
+mode. ``Executor.map`` submits every block, at most ``workers`` blocks hold
+energies at once, and the calling thread merges the reduced blocks in
+replica order; one worker means the calling thread draws every block.
 ``_quenched_block`` is the one function that turns a cloud and replica
 generators into energies: an annealed replica draws its own cloud and then
 its energies through it, as a block of one, while its block's cloud and
@@ -27,7 +28,6 @@ from __future__ import annotations
 import operator
 import os
 import sys
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -182,25 +182,6 @@ def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -
     return rows.T
 
 
-def _map_in_order(work, blocks: list, workers: int):
-    """Yield work(block) for each block in order, with at most workers + 1 in flight."""
-    if workers == 1:
-        yield from map(work, blocks)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        try:
-            for block in blocks:
-                if len(pending) > workers:
-                    yield pending.popleft().result()
-                pending.append(pool.submit(work, block))
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -215,8 +196,12 @@ def _iter_blocks(spec: ModelSpec, cloud: Cloud, norm: Normalization, seed: int,
     when quenched, (max |X_r|, B) with NaN padding when annealed; NaN fails
     every window comparison. The block is reduced on the thread that drew it.
 
-    Quenched runs use workers = min(threads, usable CPUs) threads and keep at
-    most workers + 1 blocks in flight. On the Cholesky route a block is
+    Quenched runs use workers = min(threads, usable CPUs) threads. One pool's
+    ``map`` submits every block; at most ``workers`` blocks hold energies at
+    once, so memory stays near workers x |X| x block width x 8 bytes x a small
+    constant, and a run that raises or is closed early cancels the blocks not
+    yet started. One worker draws on the calling thread: annealed runs sent
+    through a pool of one ran slower. On the Cholesky route a block is
     ``BLOCK_SIZE`` wide whatever the worker count: its one GEMM rounds by
     how the columns are partitioned. On the explicit and REM routes each
     column is drawn from its own generator and reduced alone, so no split
@@ -251,10 +236,13 @@ def _iter_blocks(spec: ModelSpec, cloud: Cloud, norm: Normalization, seed: int,
         hp /= norm.b_n
         return reduce(hp)
 
-    for reduced, block in zip(_map_in_order(work, blocks, workers), blocks):
-        if progress:
-            print(f"replicas {block.stop}/{replicas}", file=sys.stderr)
-        yield block.start, reduced
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the map's iterator lives only in this loop: a run closed early drops
+        # it, cancelling the unstarted blocks, before the pool shuts down
+        for reduced, block in zip((pool.map if workers > 1 else map)(work, blocks), blocks):
+            if progress:
+                print(f"replicas {block.stop}/{replicas}", file=sys.stderr)
+            yield block.start, reduced
 
 
 def count_replicas(

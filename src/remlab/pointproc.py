@@ -7,8 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import kolmogorov
-from scipy.stats import chi2, poisson
+from scipy.special import chdtrc, gammaln, kolmogorov, pdtr, pdtrc, xlogy
 
 from .core import LOG2
 from .errors import UsageError
@@ -17,6 +16,9 @@ SQRT_2LOG2 = math.sqrt(2.0 * LOG2)
 
 # Below m = 2 the radicand of a_n goes negative; reject loudly.
 _MIN_M = 2.0
+
+# Every chi-square cell of poisson_gof expects at least this many replicas.
+_MIN_EXPECTED = 5.0
 
 
 @dataclass(frozen=True)
@@ -175,49 +177,50 @@ class GofReport:
     passed_1pct: bool
 
 
-def gof_defined(counts: CountVector, lam: float, min_expected: float = 5.0) -> bool:
+def gof_defined(counts: CountVector, lam: float) -> bool:
     """Whether poisson_gof has a test: lam > 0, at least 1000 replicas, and an
-    expected count of min_expected in the widest pooled cell, counts >= 1."""
+    expected count of _MIN_EXPECTED in the widest pooled cell, counts >= 1."""
     r = counts.replicas
-    return lam > 0.0 and r >= 1000 and r * poisson.sf(0, lam) >= min_expected
+    return lam > 0.0 and r >= 1000 and r * pdtrc(0, lam) >= _MIN_EXPECTED
 
 
-def poisson_gof(counts: CountVector, lam: float, min_expected: float = 5.0) -> GofReport:
+def poisson_gof(counts: CountVector, lam: float) -> GofReport:
     """Chi-square test of the count histogram against Poisson(lam).
 
     The upper tail and the lower tail are each pooled into the smallest cell
-    that expects at least min_expected; dof = bins - 1 (lam is given, not
+    that expects at least _MIN_EXPECTED; dof = bins - 1 (lam is given, not
     fitted).
     """
     if lam <= 0.0:
         raise UsageError("poisson_gof needs lam > 0")
     if counts.replicas < 1000:
         raise UsageError("poisson_gof needs at least 1000 replicas")
-    if not gof_defined(counts, lam, min_expected):
+    if not gof_defined(counts, lam):
         raise UsageError("window intensity too small for a chi-square test at this replica count")
     r = counts.replicas
     kmax = int(np.max(counts.counts))
-    # find the largest cut whose pooled upper tail still has mass >= min_expected;
+    # find the largest cut whose pooled upper tail still has mass >= _MIN_EXPECTED;
     # gof_defined guarantees that cut = 1 has it
     cut = kmax + 1
-    while r * poisson.sf(cut - 1, lam) < min_expected:
+    while r * pdtrc(cut - 1, lam) < _MIN_EXPECTED:
         cut -= 1
     # the lower cell pools counts 0..low; cut > low keeps at least two cells
     low = 0
-    while r * poisson.cdf(low, lam) < min_expected:
+    while r * pdtr(low, lam) < _MIN_EXPECTED:
         low += 1
     cut = max(cut, low + 1)
-    cells = r * poisson.pmf(np.arange(cut), lam)
+    k = np.arange(cut)
+    cells = r * np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
     expected = np.concatenate([[cells[: low + 1].sum()], cells[low + 1 :],
-                               [r * poisson.sf(cut - 1, lam)]])
-    if np.any(expected < min_expected):
+                               [r * pdtrc(cut - 1, lam)]])
+    if np.any(expected < _MIN_EXPECTED):
         raise UsageError("chi-square cells below the minimum expected count; enlarge replicas")
     observed = np.bincount(counts.counts, minlength=cut + 1)
     observed = np.concatenate([[observed[: low + 1].sum()], observed[low + 1 : cut],
                                [observed[cut:].sum()]])
     stat = float(np.sum((observed - expected) ** 2 / expected))
     dof = len(expected) - 1
-    pvalue = float(chi2.sf(stat, dof))
+    pvalue = float(chdtrc(dof, stat))
     return GofReport(statistic=stat, dof=dof, pvalue=pvalue, passed_1pct=pvalue >= 0.01)
 
 

@@ -108,6 +108,23 @@ def test_coupling_draw_in_place_is_bit_identical(kind):
     assert np.all(np.isfinite(got)) and got.tobytes() == want.tobytes()
 
 
+class _TopIntegers:
+    """Hands out 0 and the two largest 53-bit integers; (2^53 - 1) + 0.5 rounds to 2^53."""
+
+    def integers(self, low, high, size, dtype):
+        return np.array([0, 2**53 - 2, 2**53 - 1], dtype=dtype)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform", "laplace"])
+def test_coupling_draw_is_finite_at_the_largest_integer(kind):
+    got = CouplingDist(kind).draw(_TopIntegers(), 3)
+    want = _draw_oracle(kind, _TopIntegers(), 3)
+    assert np.all(np.isfinite(got)), got
+    assert got[:2].tobytes() == want[:2].tobytes()
+    if kind != "uniform":
+        assert not np.isfinite(want[2])  # the unclamped formula is infinite there
+
+
 def test_estimate_c4_empirical():
     with pytest.raises(UsageError):
         estimate_c4_empirical("uniform", 10_000, np.random.default_rng(0))

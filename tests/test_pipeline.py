@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -48,11 +49,15 @@ def test_replica_rngs_match_numpy_seed_sequence(seed, namespace, extra):
     # a seed of 2^128 or more has more run-entropy words than the 4-word pool
     indices = [0, 2**32 - 1, *extra]
     for rng, r in zip(replica_rngs(seed, namespace, indices), indices, strict=True):
+        one = pipeline.derive_rng(seed, namespace, r)
         want = _numpy_rng(seed, namespace, r)
-        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64),
-                              want.bit_generator.seed_seq.generate_state(4, np.uint64))
-        assert rng.bit_generator.state == want.bit_generator.state
-        assert np.array_equal(rng.standard_normal(64), want.standard_normal(64))
+        state = want.bit_generator.seed_seq.generate_state(4, np.uint64)
+        for got in (rng, one):
+            assert np.array_equal(got.bit_generator.seed_seq.generate_state(4, np.uint64), state)
+            assert got.bit_generator.state == want.bit_generator.state
+        normals = want.standard_normal(64)
+        assert np.array_equal(rng.standard_normal(64), normals)
+        assert np.array_equal(one.standard_normal(64), normals)
 
 
 def test_replica_rngs_refuse_indices_past_one_word():
@@ -61,6 +66,12 @@ def test_replica_rngs_refuse_indices_past_one_word():
         with pytest.raises(UsageError, match="replica indices"):
             replica_rngs(1, NS_REPLICA, bad)
     assert replica_rngs(1, NS_REPLICA, range(0)) == []
+
+
+def test_derive_rng_refuses_negative_arguments():
+    for args in ((-1, NS_REPLICA, 0), (1, -1, 0), (1, NS_REPLICA, -1)):
+        with pytest.raises(UsageError):
+            pipeline.derive_rng(*args)
 
 
 def test_blocks_derive_no_generator_one_at_a_time(monkeypatch):
@@ -146,31 +157,38 @@ def test_block_merge_is_independent_of_threads(name, monkeypatch):
 
 
 class _BlockSpy:
-    """Records the width of every quenched block and the size of every pool.
+    """Records the width of every quenched block, the size of every pool and
+    the blocks submitted to a pool.
 
     A pool asked for more workers than the host's usable CPUs fails before
     any thread starts.
     """
 
     def __init__(self, monkeypatch):
-        self.widths, self.pools = [], []
-        rngs, pool = pipeline.replica_rngs, pipeline.ThreadPoolExecutor
+        self.widths, self.pools, self.submitted = [], [], []
+        rngs, spy = pipeline.replica_rngs, self
 
         def replica_rngs(seed, namespace, indices):
             self.widths.append(len(indices))
             return rngs(seed, namespace, indices)
 
-        def thread_pool(max_workers):
-            assert max_workers <= pipeline._usable_cpus(), max_workers
-            self.pools.append(max_workers)
-            return pool(max_workers=max_workers)
+        class Pool(pipeline.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                assert max_workers <= pipeline._usable_cpus(), max_workers
+                spy.pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+            def submit(self, fn, /, *args, **kwargs):
+                spy.submitted.append(args)
+                return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "replica_rngs", replica_rngs)
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", thread_pool)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
 
     def clear(self):
         self.widths.clear()
         self.pools.clear()
+        self.submitted.clear()
 
 
 def test_block_width_follows_the_route_and_workers_stay_under_the_cpus(monkeypatch):
@@ -188,7 +206,8 @@ def test_block_width_follows_the_route_and_workers_stay_under_the_cpus(monkeypat
         workers = min(threads, cpus)
         assert len(spy.widths) >= 4 and sum(spy.widths) == 400
         assert max(spy.widths) == -(-400 // (4 * workers))
-        assert spy.pools == ([workers] if workers > 1 else [])
+        assert spy.pools == [workers]
+        assert len(spy.submitted) == len(spy.widths)
 
     # Cholesky route: full blocks at every thread count
     spec = ModelSpec.sk()
@@ -197,7 +216,73 @@ def test_block_width_follows_the_route_and_workers_stay_under_the_cpus(monkeypat
         spy.clear()
         count_replicas(spec, cloud, norm, WINDOWS, 9, 2 * BLOCK_SIZE + 5, threads=threads)
         assert spy.widths == [BLOCK_SIZE, BLOCK_SIZE, 5]
-        assert spy.pools == ([min(threads, cpus)] if min(threads, cpus) > 1 else [])
+        assert spy.pools == [min(threads, cpus)]
+        # one worker draws on the calling thread: its pool of one gets no work
+        assert len(spy.submitted) == (3 if min(threads, cpus) > 1 else 0)
+
+    # annealed runs draw on the calling thread whatever the thread count
+    for threads in (1, 2):
+        spy.clear()
+        count_replicas(spec, cloud, norm, WINDOWS, 9, 40, mode="annealed",
+                       threads=threads)
+        assert spy.pools == [1] and spy.submitted == []
+
+
+def _gated_drawn_blocks(monkeypatch) -> list:
+    """Spy on replica_rngs and record each block drawn. Every block after the
+    first waits until the run's pool shuts down, so no worker can race ahead
+    of the consumer: a run that cancels its unstarted blocks before shutting
+    its pool down draws at most workers + 1 blocks."""
+    drawn, rngs, shut = [], pipeline.replica_rngs, threading.Event()
+
+    def replica_rngs(seed, namespace, indices):
+        if namespace != NS_REPLICA:  # the experiment cloud
+            return rngs(seed, namespace, indices)
+        drawn.append(indices.start)
+        if indices.start > 0:
+            if not shut.wait(timeout=10):  # a regression fails instead of hanging
+                shut.set()
+        return rngs(seed, namespace, indices)
+
+    class Pool(pipeline.ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            shut.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "replica_rngs", replica_rngs)
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Pool)
+    return drawn
+
+
+def _forty_block_run(reduce, threads: int):
+    cloud = experiment_cloud(10, 4.0, seed=2)
+    assert pipeline._cholesky_or_none(ModelSpec.sk(), cloud) is not None  # 2048-wide blocks
+    return pipeline._iter_blocks(ModelSpec.sk(), cloud, Normalization(4.0), 5,
+                                 40 * BLOCK_SIZE, "quenched", threads, False, reduce)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_run_closed_early_draws_no_more_blocks(threads, monkeypatch):
+    drawn = _gated_drawn_blocks(monkeypatch)
+    workers = min(threads, pipeline._usable_cpus())
+    blocks = _forty_block_run(lambda hp: hp.shape[1], threads)
+    assert next(blocks) == (0, BLOCK_SIZE)
+    blocks.close()
+    assert 0 in drawn and len(drawn) <= workers + 1, drawn
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_reducer_that_raises_stops_the_run(threads, monkeypatch):
+    drawn = _gated_drawn_blocks(monkeypatch)
+    workers = min(threads, pipeline._usable_cpus())
+
+    def reduce(hp):
+        raise RuntimeError("reducer failed")
+
+    with pytest.raises(RuntimeError, match="reducer failed"):
+        for _ in _forty_block_run(reduce, threads):
+            pass
+    assert 0 in drawn and len(drawn) <= workers + 1, drawn
 
 
 def test_annealed_reductions_match_a_replica_by_replica_oracle():

@@ -1,15 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import pdtr
 
+import remlab
 from remlab.errors import UsageError
 from remlab.pointproc import (
     SQRT_2LOG2,
     BorelWindow,
     CountVector,
+    GofReport,
     Normalization,
     count_in_window,
     factorial_moment,
@@ -19,6 +26,8 @@ from remlab.pointproc import (
     poisson_gof,
     spacing_test,
 )
+
+SRC = str(Path(remlab.__file__).resolve().parents[1])
 
 
 def test_normalization_values():
@@ -189,6 +198,66 @@ def test_gof_defined_is_where_poisson_gof_has_a_test():
     with pytest.raises(UsageError, match="too small"):
         poisson_gof(counts, 0.001)
     assert not gof_defined(CountVector(np.zeros(999, dtype=int)), 1.0)
+
+
+def _gof_oracle(counts, lam):
+    """gof_defined and poisson_gof as first written, through scipy.stats' Poisson and
+    chi-square distribution objects; None where the test is not defined, UsageError
+    where a cell expects too little."""
+    from scipy.stats import chi2, poisson
+
+    r = counts.replicas
+    if not (lam > 0.0 and r >= 1000 and r * poisson.sf(0, lam) >= 5.0):
+        return None
+    cut = int(np.max(counts.counts)) + 1
+    while r * poisson.sf(cut - 1, lam) < 5.0:
+        cut -= 1
+    low = 0
+    while r * poisson.cdf(low, lam) < 5.0:
+        low += 1
+    cut = max(cut, low + 1)
+    cells = r * poisson.pmf(np.arange(cut), lam)
+    expected = np.concatenate([[cells[: low + 1].sum()], cells[low + 1 :],
+                               [r * poisson.sf(cut - 1, lam)]])
+    if np.any(expected < 5.0):
+        raise UsageError("a cell expects fewer than 5")
+    observed = np.bincount(counts.counts, minlength=cut + 1)
+    observed = np.concatenate([[observed[: low + 1].sum()], observed[low + 1 : cut],
+                               [observed[cut:].sum()]])
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    dof = len(expected) - 1
+    pvalue = float(chi2.sf(stat, dof))
+    return GofReport(statistic=stat, dof=dof, pvalue=pvalue, passed_1pct=pvalue >= 0.01)
+
+
+@pytest.mark.parametrize("replicas", [1000, 100_000])
+@pytest.mark.parametrize("lam", [0.01, 0.33, 1.0, 16.0, 40.0])
+def test_poisson_gof_equals_the_scipy_stats_formulas(lam, replicas):
+    # counts drawn at 0.75, 1 and 1.3 lam, so p-values from near 1 down to the far
+    # tail; at lam = 40 only the 0.75 lam draw at 100 000 replicas has a test
+    rng = np.random.default_rng(int(lam * 100) + replicas)
+    for draw_lam in (lam, 1.3 * lam, 0.75 * lam):
+        counts = CountVector(rng.poisson(draw_lam, replicas))
+        try:
+            want = _gof_oracle(counts, lam)
+        except UsageError:
+            with pytest.raises(UsageError, match="below the minimum expected"):
+                poisson_gof(counts, lam)
+            continue
+        assert gof_defined(counts, lam) == (want is not None)
+        if want is not None:
+            got = poisson_gof(counts, lam)
+            assert got == want, (got, want)
+    if lam == 16.0 and replicas == 1000:
+        # the lower cell pools counts 0..7 here; the oracle agrees on it too
+        assert pdtr(6, lam) * replicas < 5.0 <= pdtr(7, lam) * replicas
+
+
+def test_importing_remlab_leaves_scipy_stats_unloaded():
+    code = "import sys, remlab, remlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out.strip() == "False"
 
 
 def _mu_inverse_cdf(u, lo, hi):
