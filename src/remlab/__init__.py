@@ -33,17 +33,14 @@ from .pointproc import (
     CountVector,
     MomentReport,
     Normalization,
-    count_in_window,
     factorial_moment,
     gibbs_weights,
+    intensity_mu,
     moment_ratio,
-    normalize,
     poisson_gof,
     spacing_test,
 )
 from .theory import (
-    gaussian_joint_window_prob,
-    intensity_mu,
     limit_constant,
     semianalytic_moment,
     semianalytic_pair_ratio,

@@ -30,6 +30,7 @@ from .pointproc import (
     Normalization,
     factorial_moment,
     gof_defined,
+    intensity_mu,
     moment_ratio,
     poisson_gof,
     spacing_test,
@@ -288,36 +289,25 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
         mode=cfg.mode, threads=cfg.threads, collect_values=cfg.spacing,
         progress=progress,
     )
-    gaussian = spec.coupling.kind == "gaussian"
     quenched = cfg.mode == "quenched"
     limits = theory.limit_factors(spec, cfg.m_rule, cfg.epsilon)
-    # what a quenched run actually estimates: moments conditional on the
-    # realized cloud (the annealed reference differs at O(2^(-m/2)))
-    conditional = (theory.conditional_pair_moments(spec, cloud, norm, windows)
-                   if quenched and gaussian else None)
+    refs = theory.simulate_references(spec, cloud, norm, windows, cfg.n, quenched, cfg.max_ell)
     records = []
     for wi, window in enumerate(windows):
         cv = CountVector(counts[:, wi])
         win = list(window.intervals)
-        mu = theory.intensity_mu(window)
+        mu = intensity_mu(window)
         p1 = theory.marginal_window_prob(norm, window)
         lam = len(cloud) * p1 if quenched else 2.0**m * p1
-        sa = {}
-        if gaussian and cfg.n <= theory._SEMIANALYTIC_MAX_N:
-            sa[1] = theory.semianalytic_moment(spec, cfg.n, m, window, 1)
-            sa[2] = theory.semianalytic_moment(spec, cfg.n, m, window, 2)
-        if gaussian and cfg.n <= 32 and cfg.max_ell >= 3:
-            sa[3] = theory.semianalytic_third_moment(spec, cfg.n, m, window)
-        cond = dict(enumerate(conditional[wi], 1)) if conditional else {}
+        sa, cond = refs[wi]
         for ell in range(1, cfg.max_ell + 1):
             rep = factorial_moment(cv, ell)
-            ref_sa = sa.get(ell)
-            ref_for_verdict = cond.get(ell) if quenched else ref_sa
+            ref_for_verdict = (cond if quenched else sa).get(ell)
             records.append(_record(cfg, "moment", {
                 "window": win,
                 "ell": ell,
                 **asdict(rep),
-                "reference_semianalytic": ref_sa,
+                "reference_semianalytic": sa.get(ell),
                 "reference_conditional": cond.get(ell),
                 "reference_asymptotic":
                     mu**ell * limits[ell - 1] if limits and ell < 3 else None,

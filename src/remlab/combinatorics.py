@@ -126,14 +126,6 @@ def count_w3_exact(n: int, t) -> int:
     return (1 << n) * math.comb(n, d12) * math.comb(npp_ + npm, npp_) * math.comb(nmp + nmm, nmp)
 
 
-def log_count_w3(n: int, t) -> float:
-    """Natural log of count_w3_exact; -inf for unrealizable triples."""
-    nd = _ndelta_ints(n, t)
-    if nd is None:
-        return -math.inf
-    return float(log_count_columns(n, *nd))
-
-
 def log_count_columns(n: int, npp_, npm, nmp, nmm):
     """Log of the number of ordered triples with gauge column counts
     (n_111, n_11-1, n_1-11, n_1-1-1); elementwise on integer arrays."""

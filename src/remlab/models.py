@@ -108,12 +108,15 @@ class ModelSpec:
         total = sum(a * a for _, a in mix)
         if abs(total - 1.0) > 1e-12:
             raise UsageError(f"mixture weights must satisfy sum a_p^2 = 1, got {total}")
-        if self.coupling.kind != "gaussian":
-            if len(mix) != 1 or mix[0][0] not in (1, 2):
-                raise UsageError(
-                    "non-Gaussian couplings need a single mixture term with p in {1, 2} "
-                    "(explicit sampler)"
-                )
+        if self.coupling.kind != "gaussian" and not self.explicit_ok:
+            raise UsageError(
+                "non-Gaussian couplings need a single mixture term with p in {1, 2} "
+                "(explicit sampler)"
+            )
+        if self.sampler_hint == "cholesky" and self.coupling.kind != "gaussian":
+            raise UsageError("the Cholesky route samples Gaussian fields only")
+        if self.sampler_hint == "explicit" and not self.explicit_ok:
+            raise UsageError("explicit sampler supports a single mixture term with p in {1, 2}")
         # nu is a sum of a_p^2 r^p, hence nondecreasing on [0,1] with
         # nu(0)=0, nu(1)=1; spot-check the normalization anyway.
         if not (abs(self.nu(1.0) - 1.0) < 1e-9 and abs(self.nu(0.0)) < 1e-15):
@@ -139,6 +142,11 @@ class ModelSpec:
     def is_rem(self) -> bool:
         return self.mixture is None
 
+    @property
+    def explicit_ok(self) -> bool:
+        """Whether sample_explicit can draw this model: the REM or one term with p in {1, 2}."""
+        return self.is_rem or (len(self.mixture) == 1 and self.mixture[0][0] in (1, 2))
+
     def nu(self, r):
         """Covariance as a function of the overlap."""
         r = np.asarray(r, dtype=float)
@@ -160,7 +168,7 @@ def sample_explicit(spec: ModelSpec, cloud: Cloud, rng: np.random.Generator) -> 
     """
     if spec.is_rem:
         return rng.standard_normal(len(cloud))
-    if len(spec.mixture) != 1 or spec.mixture[0][0] not in (1, 2):
+    if not spec.explicit_ok:
         raise UsageError("explicit sampler supports a single mixture term with p in {1, 2}")
     p, a = spec.mixture[0]
     n = cloud.n
@@ -227,8 +235,7 @@ def pick_sampler(spec: ModelSpec, cloud: Cloud) -> str:
         return spec.sampler_hint
     if spec.is_rem:
         return "explicit"
-    single_small_p = len(spec.mixture) == 1 and spec.mixture[0][0] in (1, 2)
-    if single_small_p and (spec.coupling.kind != "gaussian" or len(cloud) > _CHOLESKY_MAX_SIZE):
+    if spec.explicit_ok and (spec.coupling.kind != "gaussian" or len(cloud) > _CHOLESKY_MAX_SIZE):
         return "explicit"
     return "cholesky"
 

@@ -1,4 +1,4 @@
-"""Energy normalization, Gibbs weights, window counting, factorial moments, Poisson diagnostics."""
+"""Energy normalization, Gibbs weights, windows, mu(A), factorial moments, Poisson diagnostics."""
 
 from __future__ import annotations
 
@@ -39,12 +39,6 @@ class Normalization:
     def a_n(self) -> float:
         radicand = 2.0 * self.m * LOG2 + 2.0 * math.log(self.b_n) - LOG2
         return math.sqrt(radicand)
-
-
-def normalize(values, norm: Normalization) -> np.ndarray:
-    """Elementwise (H - a_n) / b_n."""
-    values = np.asarray(values, dtype=float)
-    return (values - norm.a_n) / norm.b_n
 
 
 def gibbs_weights(values, beta: float) -> np.ndarray:
@@ -89,19 +83,12 @@ class BorelWindow:
     def single(cls, lo: float, hi: float) -> "BorelWindow":
         return cls(intervals=((lo, hi),))
 
-    def length(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
     def mask(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
         out = np.zeros(values.shape, dtype=bool)
         for lo, hi in self.intervals:
             out |= (values >= lo) & (values < hi)
         return out
-
-
-def count_in_window(values, window: BorelWindow) -> int:
-    return int(np.count_nonzero(window.mask(np.asarray(values, dtype=float))))
 
 
 @dataclass(frozen=True)
@@ -188,8 +175,8 @@ def poisson_gof(counts: CountVector, lam: float) -> GofReport:
     """Chi-square test of the count histogram against Poisson(lam).
 
     The upper tail and the lower tail are each pooled into the smallest cell
-    that expects at least _MIN_EXPECTED; dof = bins - 1 (lam is given, not
-    fitted).
+    that expects at least _MIN_EXPECTED, and then absorb their neighbours
+    until every cell does; dof = bins - 1 (lam is given, not fitted).
     """
     if lam <= 0.0:
         raise UsageError("poisson_gof needs lam > 0")
@@ -211,7 +198,12 @@ def poisson_gof(counts: CountVector, lam: float) -> GofReport:
     cut = max(cut, low + 1)
     k = np.arange(cut)
     cells = r * np.exp(xlogy(k, lam) - gammaln(k + 1) - lam)
-    expected = np.concatenate([[cells[: low + 1].sum()], cells[low + 1 :],
+    # the cell just inside a pooled tail can still expect too little: fold it in
+    while cut > low + 1 and cells[cut - 1] < _MIN_EXPECTED:
+        cut -= 1
+    while cut > low + 1 and cells[low + 1] < _MIN_EXPECTED:
+        low += 1
+    expected = np.concatenate([[cells[: low + 1].sum()], cells[low + 1 : cut],
                                [r * pdtrc(cut - 1, lam)]])
     if np.any(expected < _MIN_EXPECTED):
         raise UsageError("chi-square cells below the minimum expected count; enlarge replicas")
@@ -256,8 +248,13 @@ def _mu_mass(lo: float, hi: float) -> float:
     return (math.exp(-c * lo) - math.exp(-c * hi)) / (c * math.sqrt(math.pi))
 
 
+def intensity_mu(window: BorelWindow) -> float:
+    """Mass of mu(dt) = pi^(-1/2) exp(-t sqrt(2 log 2)) dt on the window."""
+    return sum(_mu_mass(lo, hi) for lo, hi in window.intervals)
+
+
 def _mu_conditional_cdf(values: np.ndarray, window: BorelWindow) -> np.ndarray:
-    total = sum(_mu_mass(lo, hi) for lo, hi in window.intervals)
+    total = intensity_mu(window)
     out = np.zeros(len(values))
     offset = 0.0
     c = SQRT_2LOG2

@@ -1,4 +1,4 @@
-"""Reference values: intensity mu, exact finite-n factorial moments, limit constants.
+"""Reference values: exact finite-n factorial moments and limit constants.
 
 Every finite-n moment is one sum over an overlap histogram: a log-count per
 overlap value (or triple), the overlaps mapped through the model's covariance
@@ -17,7 +17,8 @@ is evaluated by tensor Gauss-Legendre quadrature. Covariances within
 cannot resolve; the kernels eliminate the dependent energy instead (on the
 window reflected under H -> -H when the pair is anticorrelated). The grid
 sums are capped at n <= ``_SEMIANALYTIC_MAX_N`` for pairs and
-n <= ``_THIRD_MOMENT_MAX_N`` for triples. One formula in the p = 1 and p = 2
+n <= ``_THIRD_MOMENT_MAX_N`` for triples; ``simulate_references`` picks the
+references a simulate run gets. One formula in the p = 1 and p = 2
 mixture weights and c4 gives the limit constants: ``limit_factors`` at a run's
 m_rule, ``limit_constant`` by a pure model's tag.
 """
@@ -34,7 +35,7 @@ from . import combinatorics
 from .core import LOG2
 from .errors import NumericalError, UsageError
 from .models import ModelSpec
-from .pointproc import BorelWindow, Normalization, _mu_mass
+from .pointproc import BorelWindow, Normalization
 
 # Gauss-Legendre resolution per interval per dimension. The integrands are
 # analytic on bounded windows; doubling the node count must move results by
@@ -50,13 +51,9 @@ _MIN_DET = 1e-12
 
 _SEMIANALYTIC_MAX_N = 4000
 _THIRD_MOMENT_MAX_N = 60
+_SIMULATE_THIRD_MAX_N = 32
 
 SK_EPS_MAX = 1.0 / (8.0 * LOG2)
-
-
-def intensity_mu(window: BorelWindow) -> float:
-    """Mass of mu(dt) = pi^(-1/2) exp(-t sqrt(2 log 2)) dt on the window."""
-    return sum(_mu_mass(lo, hi) for lo, hi in window.intervals)
 
 
 @lru_cache(maxsize=32)
@@ -244,41 +241,6 @@ def _sum_exp(log_terms: np.ndarray) -> float:
     return math.exp(float(logsumexp(finite))) if len(finite) else 0.0
 
 
-def validate_cov(cov: np.ndarray) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise UsageError("covariance must be a square matrix")
-    if cov.shape[0] not in (1, 2, 3):
-        raise UsageError("joint window probabilities support ell in {1, 2, 3}")
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise UsageError("covariance must be symmetric")
-    if not np.allclose(np.diag(cov), 1.0, atol=1e-12):
-        raise UsageError("covariance must have unit diagonal")
-    return cov
-
-
-def gaussian_joint_window_prob(cov, norm: Normalization, window: BorelWindow,
-                               nodes: int = QUAD_NODES) -> float:
-    """P(H'(sigma^1) in A, ..., H'(sigma^ell) in A) for centered unit-variance
-    Gaussians with covariance cov, via tensor-product quadrature of the
-    explicit joint density.
-
-    Entries within 1e-6 of +-1 are contracted as exact linear dependences.
-    """
-    cov = validate_cov(cov)
-    ell = cov.shape[0]
-    det = float(np.linalg.det(cov))
-    if det < _MIN_DET:
-        raise NumericalError(f"covariance determinant {det:.3e} below {_MIN_DET:g}")
-    if ell == 1:
-        return math.exp(log_marginal_window_prob(norm, window, nodes))
-    if ell == 2:
-        win = window.intervals
-        return math.exp(float(_log_pair_probs(cov[0, 1], norm, win, win, nodes)[0]))
-    return math.exp(float(_log_triple_probs(cov[0, 1], cov[1, 2], cov[0, 2],
-                                            norm, window, nodes)[0]))
-
-
 def semianalytic_moment(spec: ModelSpec, n: int, m: float, window: BorelWindow,
                         ell: int, nodes: int = QUAD_NODES) -> float:
     """Exact finite-n annealed factorial moment E(P_n(A))_ell, ell in {1, 2}.
@@ -354,6 +316,32 @@ def semianalytic_third_moment(spec: ModelSpec, n: int, m: float, window: BorelWi
     covs, inv = np.unique(np.stack([b12, b23, b31], axis=1)[idx], axis=0, return_inverse=True)
     logp = _log_triple_probs(*covs.T, Normalization(m), window, nodes)[inv.ravel()]
     return _sum_exp(log_count[idx] + 3.0 * (m - n) * LOG2 + logp)
+
+
+def simulate_references(spec: ModelSpec, cloud, norm: Normalization, windows, n: int,
+                        quenched: bool, max_ell: int) -> list:
+    """The exact references of one simulate run: per window, an (annealed,
+    conditional) pair of {ell: m_ell} dicts holding only the orders covered.
+
+    A non-Gaussian coupling gets none. The annealed third moment needs
+    n <= _SIMULATE_THIRD_MAX_N and max_ell >= 3. What a quenched run actually
+    estimates are the moments conditional on its realized cloud (the annealed
+    reference differs at O(2^(-m/2))), so only quenched runs get those.
+    """
+    if spec.coupling.kind != "gaussian":
+        return [({}, {}) for _ in windows]
+    conditional = (conditional_pair_moments(spec, cloud, norm, windows) if quenched
+                   else [()] * len(windows))
+    refs = []
+    for window, cond in zip(windows, conditional):
+        annealed = {}
+        if n <= _SEMIANALYTIC_MAX_N:
+            annealed[1] = semianalytic_moment(spec, n, norm.m, window, 1)
+            annealed[2] = semianalytic_moment(spec, n, norm.m, window, 2)
+        if n <= _SIMULATE_THIRD_MAX_N and max_ell >= 3:
+            annealed[3] = semianalytic_third_moment(spec, n, norm.m, window)
+        refs.append((annealed, dict(enumerate(cond, 1))))
+    return refs
 
 
 # limit_constant's tags: a pure model's (a1^2, a2^2) and its theorem's scaling

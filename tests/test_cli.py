@@ -20,8 +20,7 @@ from remlab.cli import (
     run,
 )
 from remlab.errors import UsageError
-from remlab.theory import intensity_mu
-from remlab.pointproc import BorelWindow
+from remlab.pointproc import BorelWindow, intensity_mu
 
 REM_CFG = dict(model="rem", n=64, m=12, windows=[[0.0, 1.0]], replicas=2000, seed=7)
 
@@ -95,6 +94,23 @@ def test_config_validation_errors():
         build_config("gibbs", dict(REM_CFG), {})  # beta missing
     with pytest.raises(UsageError):
         build_config("simulate", dict(REM_CFG), {"m_rule": "sqrt"})  # epsilon missing
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"model": "npp", "coupling": "uniform", "sampler": "cholesky"}, "Gaussian fields only"),
+    ({"model": "pspin", "sampler": "explicit"}, "explicit sampler"),
+    ({"model": "mixture", "mixture": [[1, 0.6], [2, 0.8]], "sampler": "explicit"},
+     "explicit sampler"),
+], ids=["cholesky-uniform", "explicit-pspin", "explicit-mixture"])
+def test_samplers_that_cannot_draw_the_model_are_refused_up_front(overrides, message, capsys):
+    # both used to pass build_config and fail only once the run had started
+    for command, extra in (("simulate", {}), ("gibbs", {"beta": 1.0})):
+        with pytest.raises(UsageError, match=message):
+            build_config(command, {}, {**overrides, **extra})
+    argv = ["simulate"] + [f"--override={k}={json.dumps(v)}" for k, v in overrides.items()]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    build_config("simulate", {}, {**overrides, "sampler": "auto"})
 
 
 def test_m_rule_is_checked_for_every_command(capsys):
@@ -172,16 +188,18 @@ def test_simulate_leaves_out_an_undefined_poisson_gof():
 def test_simulate_pools_a_thin_lower_tail(tmp_path):
     # [-3, 1) expects about ten points per replica, so its low counts expect
     # fewer than 5 of 1000 replicas each; the chi-square test used to raise,
-    # and the run exited 2 without writing any record, not even [0, 1)'s
+    # and the run exited 2 without writing any record, not even [0, 1)'s.
+    # [-4, 1) expects about 25: the cell just inside each pooled tail expects
+    # fewer than 5, and it raised until such cells were folded into the tails
     out = tmp_path / "x.ndjson"
     assert main(["simulate", "--out", str(out), "--override", "model=rem",
                  "--override", "n=64", "--override", "m=12", "--override", "replicas=1000",
-                 "--override", "windows=[[0,1],[-3,1]]"]) == 0
+                 "--override", "windows=[[0,1],[-3,1],[-4,1]]"]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     first = [r for r in records if r.get("window") == [[0.0, 1.0]]]
     assert [r["ell"] for r in first if r["record"] == "moment"] == [1, 2, 3]
     gof = {r["window"][0][0]: r for r in records if r["record"] == "poisson_gof"}
-    assert sorted(gof) == [-3.0, 0.0] and gof[-3.0]["dof"] >= 1
+    assert sorted(gof) == [-4.0, -3.0, 0.0] and gof[-3.0]["dof"] >= 1 and gof[-4.0]["dof"] >= 1
 
 
 def test_simulate_skips_the_third_moment_below_ell_3(monkeypatch):

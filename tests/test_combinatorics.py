@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from remlab.combinatorics import (
+    _ndelta_ints,
     brute_force_pair_census,
     brute_force_triple_census,
     classify_pair_regime,
@@ -11,8 +12,8 @@ from remlab.combinatorics import (
     cloud_pair_census,
     count_v2_exact,
     count_w3_exact,
+    log_count_columns,
     log_count_v2,
-    log_count_w3,
     rate_j,
     rate_j2,
     solve_ndelta,
@@ -186,8 +187,10 @@ def test_log_counts_agree_with_exact():
                 math.log(count_v2_exact(n, abs(r))), rel=1e-12
             )
     t = (0.5, 0.5, 0.0)
-    assert log_count_w3(8, t) == pytest.approx(math.log(count_w3_exact(8, t)), rel=1e-12)
-    assert log_count_w3(8, (0.25, 0, 0)) == -math.inf
+    assert log_count_columns(8, *_ndelta_ints(8, t)) == pytest.approx(
+        math.log(count_w3_exact(8, t)), rel=1e-12
+    )
+    assert _ndelta_ints(8, (0.25, 0, 0)) is None
 
 
 def test_pair_count_lower_bound():

@@ -49,3 +49,27 @@ def test_no_unused_imports():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
     assert not unused, unused
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private name is its module's to change; reading it elsewhere pins it
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported_modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:  # from . import theory
+                    imported_modules |= {a.asname or a.name for a in node.names}
+                else:
+                    found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                              if _is_private(a.name)]
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in imported_modules and _is_private(node.attr)]
+    assert not found, found

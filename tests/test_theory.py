@@ -11,7 +11,14 @@ from remlab.combinatorics import triple_grid
 from remlab.core import LOG2
 from remlab.errors import NumericalError, UsageError
 from remlab.models import ModelSpec
-from remlab.pointproc import SQRT_2LOG2, BorelWindow, CountVector, Normalization, factorial_moment
+from remlab.pointproc import (
+    SQRT_2LOG2,
+    BorelWindow,
+    CountVector,
+    Normalization,
+    factorial_moment,
+    intensity_mu,
+)
 from remlab.pipeline import count_replicas, experiment_cloud
 from remlab.theory import (
     SK_EPS_MAX,
@@ -20,8 +27,7 @@ from remlab.theory import (
     _log_triple_probs,
     _sum_exp,
     _triple_degenerate,
-    gaussian_joint_window_prob,
-    intensity_mu,
+    conditional_pair_moments,
     limit_constant,
     limit_factors,
     log_marginal_window_prob,
@@ -29,6 +35,7 @@ from remlab.theory import (
     semianalytic_moment,
     semianalytic_pair_ratio,
     semianalytic_third_moment,
+    simulate_references,
 )
 
 W01 = BorelWindow.single(0.0, 1.0)
@@ -101,38 +108,44 @@ def _oracle_conditional(cov, lo, hi, nodes=220, lead=None):
     return float(np.sum(weight * dens * inner))
 
 
+def _pair_prob(b, norm, window=W01, nodes=40):
+    return math.exp(_log_pair_probs(b, norm, window.intervals, window.intervals, nodes)[0])
+
+
+def _triple_prob(b12, b23, b31, norm, window=W01, nodes=40):
+    return math.exp(_log_triple_probs(b12, b23, b31, norm, window, nodes)[0])
+
+
 def test_joint_prob_ell1_matches_error_function():
     for m in (4.0, 16.0):
         norm = Normalization(m)
-        mine = gaussian_joint_window_prob(np.eye(1), norm, W01)
+        mine = marginal_window_prob(norm, W01)
         exact = ndtr(norm.a_n + norm.b_n) - ndtr(norm.a_n)
         assert mine == pytest.approx(exact, rel=1e-8)
 
 
 def test_joint_prob_independence_factorization():
     norm = Normalization(16.0)
-    p1 = gaussian_joint_window_prob(np.eye(1), norm, W01)
-    p2 = gaussian_joint_window_prob(np.eye(2), norm, W01)
-    p3 = gaussian_joint_window_prob(np.eye(3), norm, W01)
+    p1 = marginal_window_prob(norm, W01)
+    p2 = _pair_prob(0.0, norm)
+    p3 = _triple_prob(0.0, 0.0, 0.0, norm)
     assert p2 == pytest.approx(p1**2, rel=1e-10)
     assert p3 == pytest.approx(p1**3, rel=1e-10)
 
 
 def test_joint_prob_near_perfect_correlation():
     norm = Normalization(16.0)
-    b = 1.0 - 1e-9
-    cov = np.array([[1.0, b], [b, 1.0]])
-    p1 = gaussian_joint_window_prob(np.eye(1), norm, W01)
-    assert gaussian_joint_window_prob(cov, norm, W01) == pytest.approx(p1, rel=1e-3)
+    p1 = marginal_window_prob(norm, W01)
+    assert _pair_prob(1.0 - 1e-9, norm) == pytest.approx(p1, rel=1e-3)
 
 
 def test_joint_prob_determinant_guard():
-    norm = Normalization(4.0)
-    b = 1.0 - 1e-13
-    with pytest.raises(NumericalError):
-        gaussian_joint_window_prob(np.array([[1.0, b], [b, 1.0]]), norm, W01)
-    with pytest.raises(UsageError):
-        gaussian_joint_window_prob(np.array([[1.0, 0.5], [0.4, 1.0]]), norm, W01)
+    # no pair is near +-1, yet the triple covariance is singular
+    b12, b23, b31 = 0.6, 0.6, -0.28
+    assert not _triple_degenerate(b12, b23, b31).any()
+    assert abs(1.0 + 2.0 * b12 * b23 * b31 - b12**2 - b23**2 - b31**2) < 1e-12
+    with pytest.raises(NumericalError, match="determinant"):
+        _log_triple_probs(b12, b23, b31, Normalization(4.0), W01)
 
 
 def test_joint_prob_against_conditional_oracle():
@@ -149,22 +162,22 @@ def test_joint_prob_against_conditional_oracle():
             ])
             if np.linalg.det(cov) < 1e-3:
                 continue
-            mine = gaussian_joint_window_prob(cov, norm, W01)
+            mine = _triple_prob(r[0], r[1], r[2], norm)
             assert mine == pytest.approx(_oracle_conditional(cov, lo, hi), rel=1e-10)
         b = float(rng.uniform(-0.8, 0.8))
         cov2 = np.array([[1.0, b], [b, 1.0]])
-        mine2 = gaussian_joint_window_prob(cov2, norm, W01)
+        mine2 = _pair_prob(b, norm)
         assert mine2 == pytest.approx(_oracle_conditional(cov2, lo, hi), rel=1e-10)
 
 
 def test_joint_prob_node_doubling():
     norm = Normalization(6.0)
-    cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, -0.1], [0.2, -0.1, 1.0]])
-    p40 = gaussian_joint_window_prob(cov, norm, W01, nodes=40)
-    p80 = gaussian_joint_window_prob(cov, norm, W01, nodes=80)
+    # the covariance [[1, 0.5, 0.2], [0.5, 1, -0.1], [0.2, -0.1, 1]]
+    p40 = _triple_prob(0.5, -0.1, 0.2, norm, nodes=40)
+    p80 = _triple_prob(0.5, -0.1, 0.2, norm, nodes=80)
     assert abs(p80 / p40 - 1.0) < 1e-9
-    b40 = gaussian_joint_window_prob(np.array([[1, 0.6], [0.6, 1]]), norm, W01, nodes=40)
-    b80 = gaussian_joint_window_prob(np.array([[1, 0.6], [0.6, 1]]), norm, W01, nodes=80)
+    b40 = _pair_prob(0.6, norm, nodes=40)
+    b80 = _pair_prob(0.6, norm, nodes=80)
     assert abs(b80 / b40 - 1.0) < 1e-9
 
 
@@ -270,6 +283,36 @@ def test_semianalytic_preconditions():
         semianalytic_moment(ModelSpec.npp(coupling="uniform"), 100, 10.0, W01, 2)
     with pytest.raises(UsageError):
         semianalytic_third_moment(ModelSpec.sk(), 100, 10.0, W01)
+
+
+def _simulate_refs(spec, n=12, m=4.0, quenched=True, max_ell=3):
+    cloud = experiment_cloud(n, m, seed=1)
+    windows = [W01, W_TWO]
+    refs = simulate_references(spec, cloud, Normalization(m), windows, n, quenched, max_ell)
+    assert len(refs) == len(windows)
+    return cloud, refs
+
+
+def test_simulate_references_of_a_quenched_gaussian_run():
+    spec = ModelSpec.sk()
+    cloud, refs = _simulate_refs(spec)
+    conditional = conditional_pair_moments(spec, cloud, Normalization(4.0), [W01, W_TWO])
+    for (annealed, cond), window, pair in zip(refs, (W01, W_TWO), conditional):
+        assert annealed == {1: semianalytic_moment(spec, 12, 4.0, window, 1),
+                            2: semianalytic_moment(spec, 12, 4.0, window, 2),
+                            3: semianalytic_third_moment(spec, 12, 4.0, window)}
+        assert cond == {1: pair[0], 2: pair[1]}
+
+
+def test_simulate_references_leave_out_what_the_run_does_not_cover():
+    # a non-Gaussian coupling gets none, an annealed run no conditional moments
+    assert _simulate_refs(ModelSpec.sk(coupling="laplace"))[1] == [({}, {}), ({}, {})]
+    for annealed, cond in _simulate_refs(ModelSpec.npp(), quenched=False)[1]:
+        assert sorted(annealed) == [1, 2, 3] and cond == {}
+    # the third moment needs n <= 32 and max_ell = 3
+    for kwargs in ({"n": 33}, {"max_ell": 2}):
+        for annealed, cond in _simulate_refs(ModelSpec.sk(), **kwargs)[1]:
+            assert sorted(annealed) == [1, 2] and sorted(cond) == [1, 2]
 
 
 def test_semianalytic_third_moment_mc_cross_validation():
