@@ -19,12 +19,13 @@ import numpy as np
 
 from . import combinatorics as comb
 from . import theory
-from .core import delta_n
+from .core import check_cloud, delta_n
 from .errors import NumericalError, UsageError
 from .gibbs import pd_compare
 from .models import CouplingDist, ModelSpec
 from .pipeline import count_replicas, experiment_cloud
 from .pointproc import (
+    SQRT_2LOG2,
     BorelWindow,
     CountVector,
     Normalization,
@@ -243,13 +244,15 @@ def _validate(cfg: ExperimentConfig) -> None:
             # an annealed replica r seeds its cloud at index r + 1, one 32-bit word
             raise UsageError("field replicas: must be below 2^32 - 1")
         _check_m(cfg.resolved_m(), cfg.n)
+        check_cloud(cfg.n, cfg.resolved_m())
         cfg.model_spec()
     if cfg.command == "simulate":
         cfg.window_objects()
         if not 1 <= cfg.max_ell <= 3:
             raise UsageError("field max_ell: must be 1, 2, or 3")
-    if cfg.command == "gibbs" and cfg.beta is None:
-        raise UsageError("field beta: required for the gibbs command")
+    if cfg.command == "gibbs" and (cfg.beta is None or not cfg.beta > SQRT_2LOG2):
+        raise UsageError(f"field beta: the gibbs command requires beta > sqrt(2 log 2) = "
+                         f"{SQRT_2LOG2:.6f}, got {cfg.beta}")
     if cfg.command == "theory" and cfg.theory_kind == "ratio_scan":
         if len(cfg.windows) != 1:
             raise UsageError("field windows: ratio_scan takes exactly one window")

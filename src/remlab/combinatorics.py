@@ -267,9 +267,7 @@ def brute_force_triple_census(n: int) -> dict:
 
 
 def cloud_pair_census(cloud: Cloud) -> dict:
-    """Signed-overlap counts over ordered distinct pairs inside the cloud."""
-    if len(cloud) < 2:
-        raise UsageError("cloud census needs at least two members")
+    """Signed-overlap counts over ordered distinct pairs in the cloud; empty below two members."""
     gram = cloud.overlap_matrix()
     k = np.rint((1.0 - gram) * cloud.n / 2.0).astype(np.int64)
     np.fill_diagonal(k, -1)

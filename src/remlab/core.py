@@ -141,17 +141,12 @@ def _sample_large_n(n: int, m: float, rng: np.random.Generator) -> np.ndarray:
     return rows
 
 
-def sample_cloud(n: int, m: float, rng: np.random.Generator, mode: str = "auto") -> Cloud:
-    """Sample a Bernoulli site-percolation subset with inclusion p = 2^(m-n).
+def check_cloud(n: int, m: float, mode: str = "auto") -> str:
+    """Refuse a cloud no draw can produce; return the mode, ``auto`` resolved.
 
-    ``exact`` scans all 2^n sites (n <= 24); ``large_n`` draws a Poisson(2^m)
-    number of distinct uniform bitstrings. Both are uniform given their size,
-    so they differ in total variation by d_TV(Bin(2^n, 2^(m-n)), Poi(2^m)) <=
-    2^(m-n), at most 2^(-n/2) for m <= n/2 at any n (Barbour and Hall 1984).
-    ``large_n`` refuses m > n/2: a dense cloud turns its distinct-string loop
-    into a coupon collector, which never ends once the Poisson target exceeds 2^n.
-    Either mode refuses a cloud whose expected sign matrix exceeds 2 GiB.
-    """
+    ``exact`` takes n <= 24. ``large_n`` refuses m > n/2: there its distinct-string
+    loop is a coupon collector, endless once the Poisson target exceeds 2^n.
+    Either mode refuses m > n and a sign matrix above 2 GiB."""
     if m > n:
         raise UsageError(f"need 2^m <= 2^n, got m={m} > n={n}")
     if mode == "auto":
@@ -171,15 +166,18 @@ def sample_cloud(n: int, m: float, rng: np.random.Generator, mode: str = "auto")
             f"a cloud of about 2^{m:g} members at n={n} needs a {sign_bytes / 2**30:.3g} GiB "
             f"sign matrix; the limit is {_SIGN_MATRIX_MAX_BYTES / 2**30:g} GiB"
         )
+    return mode
 
-    for attempt in range(2):
-        if mode == "exact":
-            packed = _sample_exact(n, 2.0 ** (m - n), rng)
-        else:
-            packed = _sample_large_n(n, m, rng)
-        if len(packed) >= 2:
-            return Cloud._of_sorted_rows(n, m, packed)
-    raise UsageError(
-        f"cloud with n={n}, m={m} came back with fewer than 2 members after a resample; "
-        "experiments need |X| >= 2, increase m"
-    )
+
+def sample_cloud(n: int, m: float, rng: np.random.Generator, mode: str = "auto") -> Cloud:
+    """Draw once a Bernoulli site-percolation subset with inclusion p = 2^(m-n).
+
+    ``exact`` scans all 2^n sites; ``large_n`` draws a Poisson(2^m) number of
+    distinct uniform bitstrings. Both are uniform given their size, so they
+    differ in total variation by d_TV(Bin(2^n, 2^(m-n)), Poi(2^m)) <= 2^(m-n),
+    at most 2^(-n/2) for m <= n/2 at any n (Barbour and Hall 1984). The cloud
+    may have any size, 0 and 1 included, as the annealed references assume.
+    """
+    if check_cloud(n, m, mode) == "exact":
+        return Cloud._of_sorted_rows(n, m, _sample_exact(n, 2.0 ** (m - n), rng))
+    return Cloud._of_sorted_rows(n, m, _sample_large_n(n, m, rng))

@@ -204,8 +204,7 @@ class CholeskySampler:
                 f"|X|={len(cloud)} exceeds the cubic factorization budget "
                 f"({_CHOLESKY_MAX_SIZE}); use the explicit sampler"
             )
-        kernel = spec.nu(cloud.overlap_matrix()) if not spec.is_rem else np.eye(len(cloud))
-        self.low = _factor_with_jitter(kernel)
+        self.low = _factor_with_jitter(spec.nu(cloud.overlap_matrix()))
 
     def sample_block(self, z: np.ndarray) -> np.ndarray:
         """Map a (|X|, B) block of standard normals to energies."""

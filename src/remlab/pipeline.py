@@ -306,7 +306,8 @@ def gibbs_power_sums(
         sums = np.empty((hp.shape[1], len(powers)))
         for j, col in enumerate(hp.T):
             # drop the padding: a zero in np.sum would regroup its pairwise terms
-            w = gibbs_weights(col[~np.isnan(col)], beta)
+            values = col[~np.isnan(col)]
+            w = gibbs_weights(values, beta) if values.size else values  # an empty sum is 0
             for pi, k in enumerate(powers):
                 sums[j, pi] = np.sum(w**k)
         return sums

@@ -19,7 +19,7 @@ from remlab.cli import (
     parse_config_text,
     run,
 )
-from remlab.errors import UsageError
+from remlab.errors import NumericalError, UsageError
 from remlab.pointproc import BorelWindow, intensity_mu
 
 REM_CFG = dict(model="rem", n=64, m=12, windows=[[0.0, 1.0]], replicas=2000, seed=7)
@@ -65,7 +65,7 @@ def _mixture_table(draw):
 @settings(max_examples=60, deadline=None)
 @given(windows=st.lists(_window_entry(), min_size=1, max_size=3),
        mixture=st.none() | _mixture_table(),
-       epsilon=st.none() | st.floats(0.25, 8.0),
+       epsilon=st.none() | st.floats(0.25, 2.75),
        sqrt_rule=st.booleans(),
        seed=st.integers(0, 2**64 - 1),
        mode=st.sampled_from(["quenched", "annealed"]))
@@ -74,7 +74,8 @@ def test_config_round_trips_losslessly(windows, mixture, epsilon, sqrt_rule, see
     if mixture is not None:
         overrides.update(model="mixture", mixture=mixture)
     if epsilon is not None and sqrt_rule:
-        overrides["m_rule"] = "sqrt"  # n = 64: m = 8 epsilon lies in [2, 64]
+        # n = 64: m = 8 epsilon lies in [2, 22], below the 2 GiB sign-matrix budget
+        overrides["m_rule"] = "sqrt"
     cfg = build_config("simulate", dict(REM_CFG), overrides)
     reparsed = parse_config_text(cfg.to_text())
     cfg2 = build_config(reparsed.pop("command"), reparsed, {})
@@ -449,9 +450,17 @@ def test_dense_cloud_beyond_exact_range_exits_2(capsys):
     assert main(argv) == 2
     assert main(argv + ["--override", "mode=annealed"]) == 2
     assert "m <= n/2" in capsys.readouterr().err
+    # refused by build_config, before any cloud is drawn
+    for command, extra in (("simulate", {}), ("gibbs", {"beta": 3.0})):
+        for mode in ("quenched", "annealed"):
+            with pytest.raises(UsageError, match="m <= n/2"):
+                build_config(command, {}, {"n": 26, "m": 14, "mode": mode, **extra})
 
 
 def test_oversized_cloud_exits_2():
+    for command, extra in (("simulate", {}), ("gibbs", {"beta": 3.0})):
+        with pytest.raises(UsageError, match="GiB sign matrix"):
+            build_config(command, {}, {"n": 100, "m": 40, **extra})
     proc = subprocess.run(
         [sys.executable, "-m", "remlab.cli", "simulate", "--override", "n=100",
          "--override", "m=40"],
@@ -459,6 +468,90 @@ def test_oversized_cloud_exits_2():
     )
     assert proc.returncode == 2
     assert "GiB sign matrix" in proc.stderr
+
+
+def test_gibbs_at_or_below_the_pd_threshold_is_refused_up_front(capsys):
+    # pd_compare used to refuse it only after the cloud was drawn
+    for beta in (1.0, math.sqrt(2 * math.log(2)), None):
+        with pytest.raises(UsageError, match="field beta: .*sqrt\\(2 log 2\\)"):
+            build_config("gibbs", dict(REM_CFG), {"beta": beta})
+    assert main(["gibbs", "--override", "beta=1.0"]) == 2
+    assert "field beta:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_annealed_small_clouds_sample_the_law_of_the_references(seed, capsys):
+    # at m = 2 about 9% of replica clouds have fewer than two members; such a
+    # cloud was redrawn once and then aborted the run, and every replica was
+    # conditioned on |X| >= 2, which the annealed references are not
+    argv = ["simulate", "--seed", str(seed), "--override", "model=sk", "--override", "n=12",
+            "--override", "m=2", "--override", "replicas=4000", "--override", "mode=annealed",
+            "--override", "windows=[[-2,1]]", "--override", "gof=false"]
+    assert main(argv) == 0
+    moments = [rec for rec in map(json.loads, capsys.readouterr().out.splitlines())
+               if rec["record"] == "moment"]
+    assert [rec["ell"] for rec in moments] == [1, 2, 3]
+    assert all(rec["within_3se"] for rec in moments)
+
+
+def test_annealed_gibbs_with_empty_clouds_finishes(capsys):
+    # at m = 2 about 2% of 500 replica clouds are empty; their power sums are 0
+    argv = ["gibbs", "--seed", "0", "--override", "model=rem", "--override", "n=12",
+            "--override", "m=2", "--override", "beta=2.0", "--override", "replicas=500",
+            "--override", "mode=annealed"]
+    assert main(argv) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["record"] == "pd_compare" and 0.0 < rec["sum_w3"] < rec["sum_w2"] < 1.0
+
+
+_FUZZ_WINDOWS = [[[0.0, 1.0]], [[-2.0, 1.0]], [[-3.0, -1.0], [[-1.0, 0.0], [0.5, 2.0]]]]
+
+
+@st.composite
+def _small_config(draw):
+    """A simulate or gibbs config with n <= 40, m <= 8 and a few hundred replicas."""
+    command = draw(st.sampled_from(["simulate", "gibbs"]))
+    n = draw(st.integers(2, 40))
+    m_rule = draw(st.sampled_from(["fixed", "sqrt", "linear"]))
+    m = draw(st.floats(2.0, min(n, 8.0)))  # the range _check_m accepts
+    values = {
+        "model": draw(st.sampled_from(["rem", "npp", "sk", "pspin", "mixture"])),
+        "p": draw(st.integers(3, 4)),
+        "mixture": draw(st.sampled_from([[[1, 0.6], [2, 0.8]], [[2, 0.6], [3, 0.8]]])),
+        "coupling": draw(st.sampled_from(["gaussian", "uniform", "laplace"])),
+        "sampler": draw(st.sampled_from(["auto", "explicit", "cholesky"])),
+        "mode": draw(st.sampled_from(["quenched", "annealed"])),
+        "n": n, "m_rule": m_rule,
+        "m": m, "epsilon": m / {"fixed": 1.0, "sqrt": math.sqrt(n), "linear": n}[m_rule],
+        "replicas": draw(st.integers(2, 300)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+    if command == "simulate":
+        # past n = 12 the annealed third-moment reference costs seconds per window
+        values.update(windows=draw(st.sampled_from(_FUZZ_WINDOWS)),
+                      max_ell=draw(st.integers(1, 3 if n <= 12 else 2)),
+                      gof=draw(st.booleans()), spacing=draw(st.booleans()))
+    else:
+        values["beta"] = draw(st.floats(0.5, 4.0))
+    return command, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_small_config())
+def test_an_accepted_config_finishes_or_fails_numerically(config):
+    # a config error comes from build_config: run never raises UsageError,
+    # and what it writes is strict JSON
+    command, values = config
+    try:
+        cfg = build_config(command, {}, values)
+    except UsageError:
+        return
+    try:
+        output = run(cfg)
+    except NumericalError:
+        return
+    records = [_strict_json(line) for line in output.splitlines()]
+    assert records and all(rec["config"]["command"] == command for rec in records)
 
 
 def test_console_entry_point(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from remlab import pipeline
 from remlab.cli import main
-from remlab.core import sample_cloud
+from remlab.core import Cloud, sample_cloud
 from remlab.errors import UsageError
 from remlab.models import CholeskySampler, ModelSpec, pick_sampler, sample_explicit
 from remlab.pipeline import (
@@ -22,6 +22,7 @@ from remlab.pipeline import (
     replica_rngs,
 )
 from remlab.pointproc import BorelWindow, Normalization, gibbs_weights
+from remlab.theory import conditional_pair_moments, marginal_window_prob
 
 WINDOWS = [BorelWindow.single(-7.0, -5.0), BorelWindow(((-4.0, -2.0), (-1.0, 0.5)))]
 
@@ -131,6 +132,34 @@ def test_quenched_reductions_match_a_replica_by_replica_oracle(name):
     for got, parts in zip(pooled, want_pooled):
         assert np.array_equal(got, np.concatenate(parts))
     assert np.array_equal(sums, want_sums)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_clouds_of_zero_and_one_member_run_on_every_route(name):
+    # a cloud is drawn once, whatever its size: no member counts 0, one member
+    # counts its own energy, and a cloud without pairs has conditional m2 = 0
+    spec, seed, replicas = SPECS[name], 13, 300
+    norm = Normalization(3.0)
+    windows = [BorelWindow.single(-2.0, 1.0), BorelWindow.single(0.0, 1.0)]
+    for bits in ([], [0b101101]):
+        cloud = Cloud.from_bits(12, bits, m=3.0)
+        counts, pooled = count_replicas(spec, cloud, norm, windows, seed, replicas,
+                                        collect_values=True)
+        sums = gibbs_power_sums(spec, cloud, norm, 3.0, (2, 3), seed, replicas)
+        want = np.zeros((replicas, len(windows)), dtype=np.int64)
+        if bits:  # the 1 x 1 kernel factor is 1.0, so the Cholesky route is z itself
+            for r, row in enumerate(want):
+                rng = _numpy_rng(seed, NS_REPLICA, r)
+                h = (rng.standard_normal(1) if pick_sampler(spec, cloud) == "cholesky"
+                     else sample_explicit(spec, cloud, rng))
+                row[:] = [window.mask((h - norm.a_n) / norm.b_n).sum() for window in windows]
+            assert want.any()
+        assert np.array_equal(counts, want)
+        assert [len(values) for values in pooled] == want.sum(axis=0).tolist()
+        assert np.array_equal(sums, np.full((replicas, 2), float(len(cloud))))
+        for window, (m1, m2) in zip(windows, conditional_pair_moments(ModelSpec.sk(), cloud,
+                                                                      norm, windows)):
+            assert m1 == len(cloud) * marginal_window_prob(norm, window) and m2 == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
