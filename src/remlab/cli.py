@@ -89,30 +89,18 @@ class ExperimentConfig:
         raise UsageError(f"unknown m_rule {self.m_rule!r}")
 
     def model_spec(self) -> ModelSpec:
-        coupling = CouplingDist(self.coupling)
-        if self.model == "rem":
-            if self.coupling != "gaussian":
-                raise UsageError("the rem model is Gaussian by definition")
-            return ModelSpec(mixture=None, sampler_hint=self.sampler)
-        if self.model in ("npp", "sk", "pspin"):
-            p = {"npp": 1, "sk": 2}.get(self.model) or int(self.p)
-            return ModelSpec.pure(p, self.coupling, self.sampler)
-        if self.model == "mixture":
-            if not self.mixture:
-                raise UsageError("model = mixture requires a mixture table")
-            mix = tuple((int(p), float(a)) for p, a in self.mixture)
-            return ModelSpec(mixture=mix, coupling=coupling, sampler_hint=self.sampler)
-        raise UsageError(f"unknown model {self.model!r}")
+        mixtures = {"rem": None, "npp": [[1, 1.0]], "sk": [[2, 1.0]],
+                    "pspin": [[self.p, 1.0]], "mixture": self.mixture}
+        if self.model not in mixtures:
+            raise UsageError(f"unknown model {self.model!r}")
+        if self.model == "mixture" and not self.mixture:
+            raise UsageError("model = mixture requires a mixture table")
+        return ModelSpec(mixtures[self.model], CouplingDist(self.coupling), self.sampler)
 
     def window_objects(self) -> list:
         """Each entry is one window: [lo, hi], or a list of intervals for unions."""
-        wins = []
-        for entry in self.windows:
-            if isinstance(entry[0], (list, tuple)):
-                wins.append(BorelWindow(tuple(tuple(iv) for iv in entry)))
-            else:
-                wins.append(BorelWindow.single(entry[0], entry[1]))
-        return wins
+        return [BorelWindow(tuple(entry) if isinstance(entry[0], (list, tuple)) else (entry,))
+                for entry in self.windows]
 
     def to_dict(self) -> dict:
         """Resolved config as embedded in every output record.
@@ -294,7 +282,7 @@ def cmd_simulate(cfg: ExperimentConfig, progress: bool = False) -> list:
     )
     quenched = cfg.mode == "quenched"
     limits = theory.limit_factors(spec, cfg.m_rule, cfg.epsilon)
-    refs = theory.simulate_references(spec, cloud, norm, windows, cfg.n, quenched, cfg.max_ell)
+    refs = theory.simulate_references(spec, cloud, norm, windows, quenched, cfg.max_ell)
     records = []
     for wi, window in enumerate(windows):
         cv = CountVector(counts[:, wi])

@@ -25,6 +25,7 @@ _SCAN_CHUNK = 1 << 20
 # Clouds whose expected float64 sign matrix (8 n 2^m bytes) exceeds this are
 # refused before any draw.
 _SIGN_MATRIX_MAX_BYTES = 2 << 30
+_LARGE_N_MIN_N = 6  # the least n at which check_cloud lets large_n draw
 
 
 def overlap_grid(n: int) -> np.ndarray:
@@ -146,6 +147,7 @@ def check_cloud(n: int, m: float, mode: str = "auto") -> str:
 
     ``exact`` takes n <= 24. ``large_n`` refuses m > n/2: there its distinct-string
     loop is a coupon collector, endless once the Poisson target exceeds 2^n.
+    It also refuses n < 6: P(Poisson(2^(n/2)) > 2^n) is 2.3e-36 at n = 6, 0.17 at n = 1.
     Either mode refuses m > n and a sign matrix above 2 GiB."""
     if m > n:
         raise UsageError(f"need 2^m <= 2^n, got m={m} > n={n}")
@@ -155,10 +157,10 @@ def check_cloud(n: int, m: float, mode: str = "auto") -> str:
         raise UsageError(f"unknown cloud-sampling mode {mode!r}")
     if mode == "exact" and n > _EXACT_MODE_MAX_N:
         raise UsageError(f"exact mode enumerates 2^n sites; limited to n <= {_EXACT_MODE_MAX_N}")
-    if mode == "large_n" and m > n / 2:
+    if mode == "large_n" and (m > n / 2 or n < _LARGE_N_MIN_N):
         raise UsageError(
-            f"large_n cloud sampling needs m <= n/2, got m={m} with n={n}; "
-            f"dense clouds need exact mode (n <= {_EXACT_MODE_MAX_N})"
+            f"large_n cloud sampling needs m <= n/2 and n >= {_LARGE_N_MIN_N}, got m={m} "
+            f"with n={n}; small or dense clouds need exact mode (n <= {_EXACT_MODE_MAX_N})"
         )
     sign_bytes = 8.0 * n * 2.0**m
     if sign_bytes > _SIGN_MATRIX_MAX_BYTES:

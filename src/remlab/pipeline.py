@@ -8,14 +8,14 @@ one vectorized pass. A block is one float64 (rows, B) matrix, a column of
 energies per replica; an annealed block pads each column with NaN past that
 replica's own cloud. Block widths follow the route: the Cholesky route and
 annealed runs use ``BLOCK_SIZE`` columns, because a GEMM rounds by how its
-columns are partitioned; the explicit and REM routes draw and reduce each
-column alone, so they split a run into about four blocks per worker, at
-most ``BLOCK_SIZE`` wide. A quenched run starts min(threads, usable CPUs)
+columns are partitioned; the explicit route draws and reduces each column
+alone, so it splits a run into about four blocks per worker, at most
+``BLOCK_SIZE`` wide. A quenched run starts min(threads, usable CPUs)
 workers. ``_iter_blocks`` normalizes a block once and reduces it (window
 counts and in-window values, or Gibbs power sums) on the thread that drew
 it, so energies never outlive their block and no reducer knows the disorder
 mode. ``Executor.map`` submits every block, at most ``workers`` blocks hold
-energies at once, and the calling thread merges the reduced blocks in
+energies at once, and the calling thread concatenates the reduced blocks in
 replica order; one worker means the calling thread draws every block.
 ``_quenched_block`` is the one function that turns a cloud and replica
 generators into energies: an annealed replica draws its own cloud and then
@@ -154,7 +154,7 @@ def _quenched_block(spec: ModelSpec, cloud: Cloud, chol: CholeskySampler | None,
     """
     rows = np.empty((len(rngs), len(cloud)))
     for row, rng in zip(rows, rngs):
-        if chol is not None or spec.is_rem:
+        if chol is not None:
             rng.standard_normal(out=row)
         else:
             row[:] = sample_explicit(spec, cloud, rng)
@@ -190,7 +190,7 @@ def _usable_cpus() -> int:
 
 def _iter_blocks(spec: ModelSpec, cloud: Cloud, norm: Normalization, seed: int,
                  replicas: int, mode: str, threads: int, progress: bool, reduce):
-    """Yield (start_index, reduce(hp)) for each block, in replica order.
+    """Yield the reduced block, reduce(hp), for each block, in replica order.
 
     hp is the block's energies normalized in place, (H - a_n) / b_n: (|X|, B)
     when quenched, (max |X_r|, B) with NaN padding when annealed; NaN fails
@@ -203,9 +203,9 @@ def _iter_blocks(spec: ModelSpec, cloud: Cloud, norm: Normalization, seed: int,
     yet started. One worker draws on the calling thread: annealed runs sent
     through a pool of one ran slower. On the Cholesky route a block is
     ``BLOCK_SIZE`` wide whatever the worker count: its one GEMM rounds by
-    how the columns are partitioned. On the explicit and REM routes each
-    column is drawn from its own generator and reduced alone, so no split
-    can move a bit; blocks there are ceil(replicas / (4 workers)) wide, at
+    how the columns are partitioned. On the explicit route each column is
+    drawn from its own generator and reduced alone, so no split can move a
+    bit; blocks there are ceil(replicas / (4 workers)) wide, at
     most ``BLOCK_SIZE``, which gives every worker a share of a run below one
     block. Annealed runs use the calling thread only, in ``BLOCK_SIZE``
     blocks: their small per-replica numpy calls hold the interpreter lock,
@@ -242,7 +242,7 @@ def _iter_blocks(spec: ModelSpec, cloud: Cloud, norm: Normalization, seed: int,
         for reduced, block in zip((pool.map if workers > 1 else map)(work, blocks), blocks):
             if progress:
                 print(f"replicas {block.stop}/{replicas}", file=sys.stderr)
-            yield block.start, reduced
+            yield reduced
 
 
 def count_replicas(
@@ -265,27 +265,19 @@ def count_replicas(
     """
 
     def reduce(hp):
-        """(B, W) counts and, when collecting, each window's in-window values."""
+        """(B, W) counts and each window's in-window values (empty unless collecting)."""
         counts = np.empty((hp.shape[1], len(windows)), dtype=np.int64)
         values = []
         for wi, window in enumerate(windows):
             mask = window.mask(hp)
             counts[:, wi] = mask.sum(axis=0)
-            if collect_values:
-                values.append(hp.T[mask.T])  # replica-major, member order
+            # replica-major, member order
+            values.append(hp.T[mask.T] if collect_values else np.empty(0))
         return counts, values
 
-    counts = np.zeros((replicas, len(windows)), dtype=np.int64)
-    pooled: list[list] = [[] for _ in windows]
-    for start, (block_counts, values) in _iter_blocks(
-            spec, cloud, norm, seed, replicas, mode, threads, progress, reduce):
-        counts[start : start + len(block_counts)] = block_counts
-        for parts, part in zip(pooled, values):
-            parts.append(part)
-    merged = [
-        np.concatenate(parts) if parts else np.empty(0) for parts in pooled
-    ]
-    return counts, merged
+    counts, values = zip(*_iter_blocks(spec, cloud, norm, seed, replicas, mode, threads,
+                                       progress, reduce))
+    return np.concatenate(counts), [np.concatenate(parts) for parts in zip(*values)]
 
 
 def gibbs_power_sums(
@@ -312,8 +304,5 @@ def gibbs_power_sums(
                 sums[j, pi] = np.sum(w**k)
         return sums
 
-    out = np.zeros((replicas, len(powers)))
-    for start, sums in _iter_blocks(spec, cloud, norm, seed, replicas, mode, threads,
-                                    False, reduce):
-        out[start : start + len(sums)] = sums
-    return out
+    return np.concatenate(list(_iter_blocks(spec, cloud, norm, seed, replicas, mode,
+                                            threads, False, reduce)))

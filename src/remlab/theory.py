@@ -6,9 +6,11 @@ nu, and one Gaussian window probability per entry from a single kernel,
 ``_log_pair_probs`` for pairs and ``_log_triple_probs`` for triples. The
 histograms are the exact binomial pair counts (annealed second moment), the
 pair census of a realized cloud (quenched conditional moments) and the signed
-triple grid (annealed third moment). The terms are combined by a log-sum.
-The triple sum evaluates the kernel once per distinct ordered covariance
-triple, without sorting it, since a permuted covariance rounds differently.
+triple grid (annealed third moment). The annealed terms are combined by a
+log-sum; ``conditional_pair_moments`` adds counts * exp(logp) in a plain sum,
+and a log-sum there would move last bits of the pinned output. The triple
+sum evaluates the kernel once per distinct ordered covariance triple, without
+sorting it, since a permuted covariance rounds differently.
 
 Everything runs in log space: the huge exp(-a_n^2 * s / 2) factor of the
 joint density is carried symbolically, and only the bounded window integral
@@ -318,7 +320,7 @@ def semianalytic_third_moment(spec: ModelSpec, n: int, m: float, window: BorelWi
     return _sum_exp(log_count[idx] + 3.0 * (m - n) * LOG2 + logp)
 
 
-def simulate_references(spec: ModelSpec, cloud, norm: Normalization, windows, n: int,
+def simulate_references(spec: ModelSpec, cloud, norm: Normalization, windows,
                         quenched: bool, max_ell: int) -> list:
     """The exact references of one simulate run: per window, an (annealed,
     conditional) pair of {ell: m_ell} dicts holding only the orders covered.
@@ -335,11 +337,11 @@ def simulate_references(spec: ModelSpec, cloud, norm: Normalization, windows, n:
     refs = []
     for window, cond in zip(windows, conditional):
         annealed = {}
-        if n <= _SEMIANALYTIC_MAX_N:
-            annealed[1] = semianalytic_moment(spec, n, norm.m, window, 1)
-            annealed[2] = semianalytic_moment(spec, n, norm.m, window, 2)
-        if n <= _SIMULATE_THIRD_MAX_N and max_ell >= 3:
-            annealed[3] = semianalytic_third_moment(spec, n, norm.m, window)
+        if cloud.n <= _SEMIANALYTIC_MAX_N:
+            annealed[1] = semianalytic_moment(spec, cloud.n, norm.m, window, 1)
+            annealed[2] = semianalytic_moment(spec, cloud.n, norm.m, window, 2)
+        if cloud.n <= _SIMULATE_THIRD_MAX_N and max_ell >= 3:
+            annealed[3] = semianalytic_third_moment(spec, cloud.n, norm.m, window)
         refs.append((annealed, dict(enumerate(cond, 1))))
     return refs
 

@@ -20,6 +20,7 @@ from remlab.cli import (
     run,
 )
 from remlab.errors import NumericalError, UsageError
+from remlab.models import CouplingDist, ModelSpec
 from remlab.pointproc import BorelWindow, intensity_mu
 
 REM_CFG = dict(model="rem", n=64, m=12, windows=[[0.0, 1.0]], replicas=2000, seed=7)
@@ -148,6 +149,33 @@ def test_window_entries_single_and_union():
     wins = cfg.window_objects()
     assert wins[0] == BorelWindow.single(0.0, 1.0)
     assert wins[1] == BorelWindow(intervals=((1.0, 2.0), (3.0, 4.0)))
+    # integer bounds come out as floats either way
+    cfg = build_config("simulate", dict(REM_CFG), {"windows": [[0, 1], [[-1, 0], [0.5, 2]]]})
+    assert cfg.window_objects() == [BorelWindow.single(0, 1), BorelWindow(((-1, 0), (0.5, 2)))]
+
+
+@pytest.mark.parametrize("overrides, want", [
+    ({"model": "rem", "sampler": "cholesky"}, ModelSpec(None, sampler_hint="cholesky")),
+    ({"model": "npp", "coupling": "uniform", "sampler": "explicit"},
+     ModelSpec(((1, 1.0),), CouplingDist("uniform"), "explicit")),
+    ({"model": "sk", "coupling": "laplace"}, ModelSpec(((2, 1.0),), CouplingDist("laplace"))),
+    ({"model": "pspin", "p": 4, "sampler": "cholesky"},
+     ModelSpec(((4, 1.0),), sampler_hint="cholesky")),
+    ({"model": "mixture", "mixture": [[1, 0.6], [2, 0.8]], "sampler": "cholesky"},
+     ModelSpec(((1, 0.6), (2, 0.8)), sampler_hint="cholesky")),
+], ids=["rem", "npp", "sk", "pspin", "mixture"])
+def test_model_spec_is_the_model_spec_built_directly(overrides, want):
+    assert build_config("simulate", dict(REM_CFG), overrides).model_spec() == want
+
+
+def test_model_spec_refusals():
+    # the REM's coupling is refused by ModelSpec itself
+    with pytest.raises(UsageError, match="Gaussian only"):
+        build_config("simulate", dict(REM_CFG), {"coupling": "laplace"})
+    with pytest.raises(UsageError, match="unknown model"):
+        build_config("simulate", dict(REM_CFG), {"model": "hopfield"})
+    with pytest.raises(UsageError, match="requires a mixture table"):
+        build_config("simulate", dict(REM_CFG), {"model": "mixture"})
 
 
 def test_cmd_simulate_records():

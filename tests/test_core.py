@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from remlab.core import Cloud, delta_n, grid_index, overlap_grid, sample_cloud
+from remlab.core import Cloud, check_cloud, delta_n, grid_index, overlap_grid, sample_cloud
 from remlab.errors import UsageError
 
 LOG2 = math.log(2.0)
@@ -111,6 +111,20 @@ def test_large_n_refuses_dense_clouds_without_hanging():
     assert proc.returncode == 2
     with pytest.raises(UsageError):
         sample_cloud(40, 20.5, np.random.default_rng(0))  # auto mode, n > 24
+
+
+def test_large_n_is_refused_below_n_6_before_any_draw():
+    # at m <= n/2 the Poisson(2^m) target outnumbers the 2^n strings with
+    # probability 0.17 at n = 1, 1.1e-6 at n = 4 and 2.3e-36 at n = 6
+    with pytest.raises(UsageError, match="n >= 6"):
+        check_cloud(5, 2.0, "large_n")
+    assert check_cloud(6, 3.0, "large_n") == "large_n"
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        with pytest.raises(UsageError, match="n >= 6"):
+            sample_cloud(1, 0.5, rng, mode="large_n")
+        assert rng.bit_generator.state == state
 
 
 def test_sample_cloud_refuses_oversized_sign_matrix():

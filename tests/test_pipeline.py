@@ -295,7 +295,7 @@ def test_a_run_closed_early_draws_no_more_blocks(threads, monkeypatch):
     drawn = _gated_drawn_blocks(monkeypatch)
     workers = min(threads, pipeline._usable_cpus())
     blocks = _forty_block_run(lambda hp: hp.shape[1], threads)
-    assert next(blocks) == (0, BLOCK_SIZE)
+    assert next(blocks) == BLOCK_SIZE
     blocks.close()
     assert 0 in drawn and len(drawn) <= workers + 1, drawn
 

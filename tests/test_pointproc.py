@@ -198,9 +198,11 @@ def test_gof_defined_is_where_poisson_gof_has_a_test():
     assert gof_defined(counts, 0.01)
     assert poisson_gof(counts, 0.01).dof >= 1
     assert not gof_defined(counts, 0.001) and not gof_defined(counts, 0.0)
-    with pytest.raises(UsageError, match="too small"):
-        poisson_gof(counts, 0.001)
     assert not gof_defined(CountVector(np.zeros(999, dtype=int)), 1.0)
+    # poisson_gof refuses exactly there
+    for lam, replicas in ((0.001, 1000), (0.0, 1000), (1.0, 999)):
+        with pytest.raises(UsageError, match="too small"):
+            poisson_gof(CountVector(np.zeros(replicas, dtype=int)), lam)
 
 
 def _gof_oracle(counts, lam):

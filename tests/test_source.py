@@ -3,6 +3,7 @@ import importlib.util
 from pathlib import Path
 
 import remlab
+from remlab import cli
 
 SOURCES = sorted(Path(remlab.__file__).parent.glob("*.py"))
 
@@ -18,18 +19,57 @@ def test_package_validates_without_assert():
     assert not found, found
 
 
-def test_traced_boundaries_exist():
-    # perfbench/spans.py rebinds these attributes for --trace 1; one that
-    # moved or was renamed would make the traced benchmark run fail
+def _benchmark_spans():
+    """perfbench/spans.py, loaded read-only from the checkout."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    table = spans.patch_table()
+    return spans
+
+
+def test_traced_boundaries_exist():
+    # perfbench/spans.py rebinds these attributes for --trace 1; one that
+    # moved or was renamed would make the traced benchmark run fail
+    table = _benchmark_spans().patch_table()
     assert table
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _, _ in table
                if attr not in owner.__dict__]
     assert not missing, missing
+
+
+# tiny runs of every route the benchmark traces; the two explicit steps draw
+# 200 replicas each, one models.sample_explicit call per replica
+_TRACED_RUNS = [
+    ("simulate", dict(model="sk", n=40, m=5, replicas=300)),
+    ("simulate", dict(model="sk", n=12, m=4, replicas=100, mode="annealed", max_ell=3)),
+    ("simulate", dict(model="sk", coupling="laplace", n=32, m=4, replicas=200)),
+    ("gibbs", dict(model="rem", n=32, m=6, beta=2.35482, replicas=200, threads=2)),
+    ("theory", dict(theory_kind="ratio_scan", model="sk", m_rule="linear", epsilon=0.1,
+                    n_values=[50])),
+    ("comb", dict(comb_kind="verify", n=6)),
+]
+
+
+def test_traced_runs_reach_every_span_hook():
+    # a change under src/ that breaks a hook's reading of its arguments would
+    # pass the untraced tests and fail only the traced benchmark runs
+    spans = _benchmark_spans()
+    tracer = spans.Tracer()
+    tracer.install(spans.patch_table())
+    try:
+        for command, overrides in _TRACED_RUNS:
+            assert cli.run(cli.build_config(command, {}, overrides))
+    finally:
+        tracer.restore()
+    layers = tracer.layer_metrics()
+    # the REM draws its energies through sample_explicit like every explicit model
+    assert layers["models.sample_explicit.calls"] == 400
+    for name in ("core.sample_cloud.calls", "models.cholesky_factor.calls",
+                 "pointproc.window_mask.calls", "theory.pair_terms", "theory.triple_terms",
+                 "models.sample_block.gflop_computed", "pipeline.gibbs_power_sums.self_s",
+                 "combinatorics.brute_force_triple_census.self_s"):
+        assert layers[name] > 0, name
 
 
 def test_no_unused_imports():

@@ -288,7 +288,7 @@ def test_semianalytic_preconditions():
 def _simulate_refs(spec, n=12, m=4.0, quenched=True, max_ell=3):
     cloud = experiment_cloud(n, m, seed=1)
     windows = [W01, W_TWO]
-    refs = simulate_references(spec, cloud, Normalization(m), windows, n, quenched, max_ell)
+    refs = simulate_references(spec, cloud, Normalization(m), windows, quenched, max_ell)
     assert len(refs) == len(windows)
     return cloud, refs
 
