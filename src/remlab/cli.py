@@ -51,7 +51,7 @@ class ExperimentConfig:
     p: int = 3  # power for model = pspin
     mixture: list | None = None  # [[p, a_p], ...] for model = mixture
     coupling: str = "gaussian"
-    sampler: str = "auto"
+    sampler: str = "auto"  # only auto: the model and its cloud choose the route
     n: int = 64
     m_rule: str = "fixed"  # fixed | sqrt | linear
     m: float = 10.0
@@ -95,7 +95,7 @@ class ExperimentConfig:
             raise UsageError(f"unknown model {self.model!r}")
         if self.model == "mixture" and not self.mixture:
             raise UsageError("model = mixture requires a mixture table")
-        return ModelSpec(mixtures[self.model], CouplingDist(self.coupling), self.sampler)
+        return ModelSpec(mixtures[self.model], CouplingDist(self.coupling))
 
     def window_objects(self) -> list:
         """Each entry is one window: [lo, hi], or a list of intervals for unions."""
@@ -225,6 +225,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise UsageError("field seed: must fit in 64 bits")
     if cfg.m_rule not in ("fixed", "sqrt", "linear"):
         raise UsageError("field m_rule: must be fixed, sqrt or linear")
+    if cfg.sampler != "auto":
+        raise UsageError("field sampler: must be auto; the model and its cloud choose the route")
     if cfg.command in ("simulate", "gibbs"):
         if cfg.replicas < 2:
             raise UsageError("field replicas: must be >= 2 for a standard error")

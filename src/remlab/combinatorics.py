@@ -16,6 +16,7 @@ from .core import LOG2, Cloud, grid_index, overlap_grid
 from .errors import UsageError
 
 _BRUTE_FORCE_MAX_N = 14
+_CENSUS_BLOCK_BYTES = 12 << 20  # one block up to about 1250 members
 
 # Smallest round constants satisfying the classifiers' strict requirements
 # (c1 > 1/2, c2 > 3/2 for pairs; c1 > 1, c2 > 3/2 for triples).
@@ -266,11 +267,26 @@ def brute_force_triple_census(n: int) -> dict:
     return census
 
 
+def _hamming_counts(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Histogram of the Hamming distances k between the sign rows of a and of b."""
+    dots = a @ b.T  # n - 2k exactly: integer sums of +-1
+    dots -= n
+    dots /= -2.0
+    return np.bincount(dots.astype(np.intp).ravel(), minlength=n + 1)
+
+
 def cloud_pair_census(cloud: Cloud) -> dict:
-    """Signed-overlap counts over ordered distinct pairs in the cloud; empty below two members."""
-    gram = cloud.overlap_matrix()
-    k = np.rint((1.0 - gram) * cloud.n / 2.0).astype(np.int64)
-    np.fill_diagonal(k, -1)
-    hist = np.bincount(k[k >= 0].ravel(), minlength=cloud.n + 1)
-    grid = overlap_grid(cloud.n)
-    return {grid[i]: int(c) for i, c in enumerate(hist) if c}
+    """Signed-overlap counts over ordered distinct pairs in the cloud; empty below two members.
+
+    Row blocks of about ``_CENSUS_BLOCK_BYTES`` of products bound the memory. A
+    block meets itself once and the later rows in both orders, in the flops of
+    one symmetric product. Members are distinct: only the diagonal has k = 0.
+    """
+    s, n = cloud.sign_matrix, cloud.n
+    rows = max(1, _CENSUS_BLOCK_BYTES // (8 * max(len(s), 1)))
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, len(s), rows):
+        block = s[start : start + rows]
+        hist += _hamming_counts(block, block, n) + 2 * _hamming_counts(block, s[start + rows :], n)
+    hist[0] -= len(s)
+    return {r: int(c) for r, c in zip(overlap_grid(n), hist) if c}

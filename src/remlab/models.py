@@ -1,11 +1,14 @@
 """Hamiltonian samplers: explicit p-spin couplings, Cholesky field, coupling laws.
 
 The energy vector over a cloud is centered with unit variance and covariance
-nu(R) built from the mixture; the explicit route draws the couplings
-themselves (p in {1, 2}, any coupling law), the Cholesky route factors the
-overlap kernel (Gaussian law, arbitrary mixtures). Energies are plain
-float64 arrays aligned with the cloud's members; ``pipeline`` draws them
-block by block, one column per replica.
+nu(R) built from the mixture. The model and its cloud choose the route, in
+``cholesky_sampler``. The explicit route draws the REM's independent
+energies, or the couplings of a single term with p in {1, 2}; it takes every
+non-Gaussian law (only such terms admit one), and Gaussian p in {1, 2} past
+``_CHOLESKY_MAX_SIZE`` members. Every other model takes the Cholesky route,
+which factors the cloud's overlap kernel once. Energies are plain float64
+arrays aligned with the cloud's members; ``pipeline`` draws them block by
+block, one column per replica.
 """
 
 from __future__ import annotations
@@ -88,11 +91,8 @@ class ModelSpec:
 
     mixture: tuple | None
     coupling: CouplingDist = field(default_factory=CouplingDist)
-    sampler_hint: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.sampler_hint not in ("auto", "explicit", "cholesky"):
-            raise UsageError(f"unknown sampler hint {self.sampler_hint!r}")
         if self.mixture is None:
             if self.coupling.kind != "gaussian":
                 raise UsageError("the independent-energies model is Gaussian only")
@@ -111,12 +111,8 @@ class ModelSpec:
         if self.coupling.kind != "gaussian" and not self.explicit_ok:
             raise UsageError(
                 "non-Gaussian couplings need a single mixture term with p in {1, 2} "
-                "(explicit sampler)"
+                "(explicit couplings)"
             )
-        if self.sampler_hint == "cholesky" and self.coupling.kind != "gaussian":
-            raise UsageError("the Cholesky route samples Gaussian fields only")
-        if self.sampler_hint == "explicit" and not self.explicit_ok:
-            raise UsageError("explicit sampler supports a single mixture term with p in {1, 2}")
         # nu is a sum of a_p^2 r^p, hence nondecreasing on [0,1] with
         # nu(0)=0, nu(1)=1; spot-check the normalization anyway.
         if not (abs(self.nu(1.0) - 1.0) < 1e-9 and abs(self.nu(0.0)) < 1e-15):
@@ -127,8 +123,8 @@ class ModelSpec:
         return cls(mixture=None)
 
     @classmethod
-    def pure(cls, p: int, coupling: str = "gaussian", sampler_hint: str = "auto") -> "ModelSpec":
-        return cls(mixture=((p, 1.0),), coupling=CouplingDist(coupling), sampler_hint=sampler_hint)
+    def pure(cls, p: int, coupling: str = "gaussian") -> "ModelSpec":
+        return cls(mixture=((p, 1.0),), coupling=CouplingDist(coupling))
 
     @classmethod
     def npp(cls, coupling: str = "gaussian") -> "ModelSpec":
@@ -178,10 +174,7 @@ def sample_explicit(spec: ModelSpec, cloud: Cloud, rng: np.random.Generator) -> 
         values = a * (s @ g) / math.sqrt(n)
     else:
         if n > _EXPLICIT_P2_MAX_N:
-            raise UsageError(
-                f"explicit p=2 stores n^2 couplings; n={n} exceeds {_EXPLICIT_P2_MAX_N}, "
-                "use the cholesky sampler"
-            )
+            raise UsageError(f"explicit p=2 stores n^2 couplings; n={n} > {_EXPLICIT_P2_MAX_N}")
         g = spec.coupling.draw(rng, (n, n))
         values = a * np.einsum("ki,ij,kj->k", s, g, s) / n
     if not np.all(np.isfinite(values)):
@@ -200,10 +193,8 @@ class CholeskySampler:
         if spec.coupling.kind != "gaussian":
             raise UsageError("the Cholesky route samples Gaussian fields only")
         if len(cloud) > _CHOLESKY_MAX_SIZE:
-            raise UsageError(
-                f"|X|={len(cloud)} exceeds the cubic factorization budget "
-                f"({_CHOLESKY_MAX_SIZE}); use the explicit sampler"
-            )
+            raise UsageError(f"|X|={len(cloud)} exceeds the cubic factorization budget "
+                             f"({_CHOLESKY_MAX_SIZE}); past it only the REM and p in {{1, 2}} run")
         self.low = _factor_with_jitter(spec.nu(cloud.overlap_matrix()))
 
     def sample_block(self, z: np.ndarray) -> np.ndarray:
@@ -228,15 +219,14 @@ def _factor_with_jitter(kernel: np.ndarray) -> np.ndarray:
     )
 
 
-def pick_sampler(spec: ModelSpec, cloud: Cloud) -> str:
-    """Resolve the auto hint: explicit for non-Gaussian or oversized clouds."""
-    if spec.sampler_hint != "auto":
-        return spec.sampler_hint
-    if spec.is_rem:
-        return "explicit"
-    if spec.explicit_ok and (spec.coupling.kind != "gaussian" or len(cloud) > _CHOLESKY_MAX_SIZE):
-        return "explicit"
-    return "cholesky"
+def cholesky_sampler(spec: ModelSpec, cloud: Cloud) -> CholeskySampler | None:
+    """The route that draws ``spec`` on ``cloud``: the cloud's kernel factor,
+    or None where ``sample_explicit`` draws the model (the REM, a non-Gaussian
+    coupling, or p in {1, 2} past the factorization budget)."""
+    if spec.explicit_ok and (spec.is_rem or spec.coupling.kind != "gaussian"
+                             or len(cloud) > _CHOLESKY_MAX_SIZE):
+        return None
+    return CholeskySampler(spec, cloud)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .core import Cloud, sample_cloud
 from .errors import UsageError
-from .models import CholeskySampler, ModelSpec, pick_sampler, sample_explicit
+from .models import CholeskySampler, ModelSpec, cholesky_sampler, sample_explicit
 from .pointproc import Normalization, gibbs_weights
 
 # Namespace tags ("clou", "repl" in ASCII) keep the replica streams disjoint
@@ -138,11 +138,6 @@ def experiment_cloud(n: int, m: float, seed: int) -> Cloud:
     return sample_cloud(n, m, derive_rng(seed, NS_CLOUD, 0))
 
 
-def _cholesky_or_none(spec: ModelSpec, cloud: Cloud) -> CholeskySampler | None:
-    """The cloud's kernel factor when the Cholesky route is picked, else None."""
-    return CholeskySampler(spec, cloud) if pick_sampler(spec, cloud) == "cholesky" else None
-
-
 def _quenched_block(spec: ModelSpec, cloud: Cloud, chol: CholeskySampler | None,
                     rngs: list) -> np.ndarray:
     """Energies for one block, shape (|X|, len(rngs)), column per replica
@@ -174,7 +169,7 @@ def _annealed_block(spec: ModelSpec, cloud: Cloud, seed: int, replicas: range) -
             replica_rngs(seed, NS_CLOUD, range(replicas.start + 1, replicas.stop + 1)),
             replica_rngs(seed, NS_REPLICA, replicas)):
         rep_cloud = sample_cloud(cloud.n, cloud.m, cloud_rng, mode=cloud_mode)
-        chol = _cholesky_or_none(spec, rep_cloud)
+        chol = cholesky_sampler(spec, rep_cloud)
         cols.append(_quenched_block(spec, rep_cloud, chol, [rng])[:, 0])
     rows = np.full((len(cols), max(map(len, cols))), np.nan)
     for row, col in zip(rows, cols):
@@ -219,7 +214,7 @@ def _iter_blocks(spec: ModelSpec, cloud: Cloud, norm: Normalization, seed: int,
     if mode == "annealed":
         draw, workers = partial(_annealed_block, spec, cloud, seed), 1
     elif mode == "quenched":
-        chol = _cholesky_or_none(spec, cloud)
+        chol = cholesky_sampler(spec, cloud)
         workers = min(threads, _usable_cpus())
         if chol is None:
             width = min(BLOCK_SIZE, -(-replicas // (4 * workers)))

@@ -103,11 +103,6 @@ def _in_band(b) -> np.ndarray:
     return np.abs(b) >= 1.0 - _DEGENERATE_BAND
 
 
-def _cov(spec: ModelSpec, r) -> np.ndarray:
-    """Energy covariances nu(r) at signed overlaps r (odd mixtures need the sign)."""
-    return np.atleast_1d(np.asarray(spec.nu(r), dtype=float))
-
-
 def _log_pair_probs(b, norm: Normalization, win1, win2,
                     nodes: int = QUAD_NODES) -> np.ndarray:
     """log P(H'_1 in win1, H'_2 in win2) for a batch of correlations b.
@@ -263,7 +258,7 @@ def semianalytic_moment(spec: ModelSpec, n: int, m: float, window: BorelWindow,
     k = np.arange(1, n + 1)
     log_pairs = n * LOG2 + gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
     win = window.intervals
-    logp = _log_pair_probs(_cov(spec, (n - 2.0 * k) / n), Normalization(m), win, win, nodes)
+    logp = _log_pair_probs(spec.nu((n - 2.0 * k) / n), Normalization(m), win, win, nodes)
     return _sum_exp(log_pairs + 2.0 * (m - n) * LOG2 + logp)
 
 
@@ -290,7 +285,7 @@ def conditional_pair_moments(spec: ModelSpec, cloud, norm: Normalization,
     census = combinatorics.cloud_pair_census(cloud)
     rs = np.array(sorted(census))
     counts = np.array([census[r] for r in rs], dtype=float)
-    cov = _cov(spec, rs)
+    cov = spec.nu(rs)
     moments = []
     for window in windows:
         m1 = len(cloud) * marginal_window_prob(norm, window)
@@ -308,7 +303,7 @@ def semianalytic_third_moment(spec: ModelSpec, n: int, m: float, window: BorelWi
     if n > _THIRD_MOMENT_MAX_N:
         raise UsageError(f"third-moment grid summation limited to n <= {_THIRD_MOMENT_MAX_N}")
     r12, r23, r31, log_count, distinct = combinatorics.triple_grid(n)
-    b12, b23, b31 = _cov(spec, r12), _cov(spec, r23), _cov(spec, r31)
+    b12, b23, b31 = spec.nu(r12), spec.nu(r23), spec.nu(r31)
     # regular triples first, degenerate ones last, each in grid order: the
     # log-sum below is order-sensitive at the last-bit level
     idx = np.nonzero(distinct)[0]

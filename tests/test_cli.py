@@ -98,20 +98,35 @@ def test_config_validation_errors():
         build_config("simulate", dict(REM_CFG), {"m_rule": "sqrt"})  # epsilon missing
 
 
-@pytest.mark.parametrize("overrides, message", [
-    ({"model": "npp", "coupling": "uniform", "sampler": "cholesky"}, "Gaussian fields only"),
-    ({"model": "pspin", "sampler": "explicit"}, "explicit sampler"),
-    ({"model": "mixture", "mixture": [[1, 0.6], [2, 0.8]], "sampler": "explicit"},
-     "explicit sampler"),
+@pytest.mark.parametrize("overrides", [
+    {"model": "npp", "coupling": "uniform", "sampler": "cholesky"},
+    {"model": "pspin", "sampler": "explicit"},
+    {"model": "mixture", "mixture": [[1, 0.6], [2, 0.8]], "sampler": "explicit"},
 ], ids=["cholesky-uniform", "explicit-pspin", "explicit-mixture"])
-def test_samplers_that_cannot_draw_the_model_are_refused_up_front(overrides, message, capsys):
-    # both used to pass build_config and fail only once the run had started
-    for command, extra in (("simulate", {}), ("gibbs", {"beta": 1.0})):
-        with pytest.raises(UsageError, match=message):
+def test_samplers_that_cannot_draw_the_model_are_refused_up_front(overrides, capsys):
+    # refused by build_config, before the run starts
+    _assert_sampler_refused(overrides, capsys)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"model": "rem", "sampler": "cholesky"},
+    {"model": "rem", "sampler": "explicit"},
+    {"model": "sk", "sampler": "explicit"},
+], ids=["cholesky-rem", "explicit-rem", "explicit-sk"])
+def test_a_sampler_other_than_auto_is_refused_where_it_could_draw(overrides, capsys):
+    # the model and its cloud choose the route: a hint could only factor the
+    # REM's identity kernel or move a run onto a second stream
+    _assert_sampler_refused(overrides, capsys)
+
+
+def _assert_sampler_refused(overrides, capsys):
+    for command, extra in (("simulate", {}), ("gibbs", {"beta": 3.0})):
+        with pytest.raises(UsageError, match="field sampler: must be auto"):
             build_config(command, {}, {**overrides, **extra})
-    argv = ["simulate"] + [f"--override={k}={json.dumps(v)}" for k, v in overrides.items()]
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
+        argv = [command] + [f"--override={k}={json.dumps(v)}"
+                            for k, v in {**overrides, **extra}.items()]
+        assert main(argv) == 2
+        assert "field sampler: must be auto" in capsys.readouterr().err
     build_config("simulate", {}, {**overrides, "sampler": "auto"})
 
 
@@ -155,14 +170,11 @@ def test_window_entries_single_and_union():
 
 
 @pytest.mark.parametrize("overrides, want", [
-    ({"model": "rem", "sampler": "cholesky"}, ModelSpec(None, sampler_hint="cholesky")),
-    ({"model": "npp", "coupling": "uniform", "sampler": "explicit"},
-     ModelSpec(((1, 1.0),), CouplingDist("uniform"), "explicit")),
+    ({"model": "rem"}, ModelSpec(None)),
+    ({"model": "npp", "coupling": "uniform"}, ModelSpec(((1, 1.0),), CouplingDist("uniform"))),
     ({"model": "sk", "coupling": "laplace"}, ModelSpec(((2, 1.0),), CouplingDist("laplace"))),
-    ({"model": "pspin", "p": 4, "sampler": "cholesky"},
-     ModelSpec(((4, 1.0),), sampler_hint="cholesky")),
-    ({"model": "mixture", "mixture": [[1, 0.6], [2, 0.8]], "sampler": "cholesky"},
-     ModelSpec(((1, 0.6), (2, 0.8)), sampler_hint="cholesky")),
+    ({"model": "pspin", "p": 4}, ModelSpec(((4, 1.0),))),
+    ({"model": "mixture", "mixture": [[1, 0.6], [2, 0.8]]}, ModelSpec(((1, 0.6), (2, 0.8)))),
 ], ids=["rem", "npp", "sk", "pspin", "mixture"])
 def test_model_spec_is_the_model_spec_built_directly(overrides, want):
     assert build_config("simulate", dict(REM_CFG), overrides).model_spec() == want
@@ -547,7 +559,7 @@ def _small_config(draw):
         "p": draw(st.integers(3, 4)),
         "mixture": draw(st.sampled_from([[[1, 0.6], [2, 0.8]], [[2, 0.6], [3, 0.8]]])),
         "coupling": draw(st.sampled_from(["gaussian", "uniform", "laplace"])),
-        "sampler": draw(st.sampled_from(["auto", "explicit", "cholesky"])),
+        "sampler": "auto",
         "mode": draw(st.sampled_from(["quenched", "annealed"])),
         "n": n, "m_rule": m_rule,
         "m": m, "epsilon": m / {"fixed": 1.0, "sqrt": math.sqrt(n), "linear": n}[m_rule],

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from remlab import combinatorics
 from remlab.combinatorics import (
     _ndelta_ints,
     brute_force_pair_census,
@@ -275,3 +277,38 @@ def test_cloud_pair_census_mass_and_expectation():
         mean = totals[:, k].mean()
         se = totals[:, k].std(ddof=1) / math.sqrt(seeds)
         assert abs(mean - expected) <= 3 * se
+
+
+def _census_oracle(cloud) -> dict:
+    """The pair census from popcounts of XORed bit patterns (n <= 64)."""
+    words = np.zeros((len(cloud), 8), dtype=np.uint8)
+    words[:, : cloud.packed.shape[1]] = cloud.packed
+    codes = words.view("<u8").ravel()
+    hist = np.bincount(np.bitwise_count(codes[:, None] ^ codes[None, :]).ravel(),
+                       minlength=cloud.n + 1)
+    hist[0] -= len(cloud)
+    return {overlap_grid(cloud.n)[k]: int(c) for k, c in enumerate(hist) if c}
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * 100 * 7])
+def test_cloud_pair_census_is_the_same_in_any_row_blocks(block_bytes, monkeypatch):
+    # one row, and seven rows of a cloud of about 100: a short last block
+    cloud = sample_cloud(12, 6.6, np.random.default_rng(8))
+    monkeypatch.setattr(combinatorics, "_CENSUS_BLOCK_BYTES", block_bytes)
+    assert cloud_pair_census(cloud) == _census_oracle(cloud)
+
+
+def test_cloud_pair_census_in_bounded_memory():
+    # a full |X| x |X| Gram with its integer copies would peak near 3.1 x 8|X|^2 bytes
+    cloud = sample_cloud(40, 12.0, np.random.default_rng(1), mode="large_n")
+    size = len(cloud)
+    assert 3900 <= size <= 4300
+    cloud.sign_matrix  # built before tracing: it belongs to the cloud
+    tracemalloc.start()
+    try:
+        census = cloud_pair_census(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * size * size / 4
+    assert census == _census_oracle(cloud)

@@ -113,6 +113,12 @@ SCENARIOS = {
         ["simulate", "--seed", "19"] + _ov(model="sk", n=70, m=6, replicas=600),
         "cdb77893ac2dfd55fb9c0c60c392915fc739a0dca962951fd7ed6b2fd9f2bd20",
     ),
+    # quenched REM: the explicit route, and a cloud (|X| = 1998) whose pair
+    # census spans several row blocks
+    "simulate-rem-quenched-census-blocks": (
+        ["simulate", "--seed", "41"] + _ov(model="rem", n=40, m=11, replicas=1200),
+        "d64f3e5578392ce47ac6909d8bb921658f72ee1a61608374a40365f3e8e28011",
+    ),
     # rate, pair/triple count and regime records, each with pairs and triples
     "comb-rates": (
         ["comb"] + _ov(comb_kind="rates", r_values="[0,0.25,0.5,1]",

@@ -8,13 +8,14 @@ from scipy.special import ndtri
 from remlab.core import Cloud, sample_cloud
 from remlab.errors import NumericalError, UsageError
 from remlab.models import (
+    _CHOLESKY_MAX_SIZE,
     CholeskySampler,
     CouplingDist,
     ModelSpec,
     _factor_with_jitter,
+    cholesky_sampler,
     coupling_c4,
     estimate_c4_empirical,
-    pick_sampler,
     sample_explicit,
 )
 
@@ -245,14 +246,23 @@ def test_gaussian_paths_agree_in_law():
 
 
 def test_sampler_dispatch():
+    # sample_explicit draws the REM and every non-Gaussian law (route None);
+    # every other model on a small cloud gets the cloud's kernel factor
     small = two_config_cloud(8, 4)
-    assert pick_sampler(ModelSpec.rem(), small) == "explicit"
-    assert pick_sampler(ModelSpec.sk(), small) == "cholesky"
-    assert pick_sampler(ModelSpec.npp(coupling="uniform"), small) == "explicit"
-    assert pick_sampler(ModelSpec(mixture=((1, 0.6), (3, 0.8))), small) == "cholesky"
-    assert pick_sampler(ModelSpec.sk(), small) == "cholesky"
-    forced = ModelSpec(mixture=((2, 1.0),), sampler_hint="explicit")
-    assert pick_sampler(forced, small) == "explicit"
+    for spec in (ModelSpec.rem(), ModelSpec.npp("uniform"), ModelSpec.npp("laplace"),
+                 ModelSpec.sk("uniform"), ModelSpec.sk("laplace")):
+        assert cholesky_sampler(spec, small) is None
+    for spec in (ModelSpec.npp(), ModelSpec.sk(), ModelSpec.pure(3),
+                 ModelSpec(mixture=((1, 0.6), (3, 0.8)))):
+        assert isinstance(cholesky_sampler(spec, small), CholeskySampler)
+    # past the factorization budget Gaussian p in {1, 2} goes explicit, and
+    # p = 3 is refused without naming a sampler the user could pick
+    big = Cloud.from_bits(14, range(_CHOLESKY_MAX_SIZE + 1))
+    assert cholesky_sampler(ModelSpec.npp(), big) is None
+    assert cholesky_sampler(ModelSpec.sk(), big) is None
+    with pytest.raises(UsageError, match="factorization budget") as refusal:
+        cholesky_sampler(ModelSpec.pure(3), big)
+    assert "sampler" not in str(refusal.value)
 
 
 def test_explicit_rejects_high_p_and_cholesky_rejects_nongaussian():
@@ -264,9 +274,10 @@ def test_explicit_rejects_high_p_and_cholesky_rejects_nongaussian():
 
 
 def _sample_energies(spec, cloud, rng):
-    if pick_sampler(spec, cloud) == "explicit":
+    chol = cholesky_sampler(spec, cloud)
+    if chol is None:
         return sample_explicit(spec, cloud, rng)
-    return CholeskySampler(spec, cloud).sample_block(rng.standard_normal((len(cloud), 1)))[:, 0]
+    return chol.sample_block(rng.standard_normal((len(cloud), 1)))[:, 0]
 
 
 def test_determinism_identical_bytes():

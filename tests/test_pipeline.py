@@ -11,7 +11,7 @@ from remlab import pipeline
 from remlab.cli import main
 from remlab.core import Cloud, sample_cloud
 from remlab.errors import UsageError
-from remlab.models import CholeskySampler, ModelSpec, pick_sampler, sample_explicit
+from remlab.models import CholeskySampler, ModelSpec, cholesky_sampler, sample_explicit
 from remlab.pipeline import (
     BLOCK_SIZE,
     NS_CLOUD,
@@ -106,7 +106,7 @@ def test_quenched_reductions_match_a_replica_by_replica_oracle(name):
                                     collect_values=True)
     sums = gibbs_power_sums(spec, cloud, norm, beta, (2, 3), seed, replicas)
 
-    chol = CholeskySampler(spec, cloud) if pick_sampler(spec, cloud) == "cholesky" else None
+    chol = cholesky_sampler(spec, cloud)
     energies = []
     for start in range(0, replicas, BLOCK_SIZE):
         rngs = [_numpy_rng(seed, NS_REPLICA, r)
@@ -150,7 +150,7 @@ def test_clouds_of_zero_and_one_member_run_on_every_route(name):
         if bits:  # the 1 x 1 kernel factor is 1.0, so the Cholesky route is z itself
             for r, row in enumerate(want):
                 rng = _numpy_rng(seed, NS_REPLICA, r)
-                h = (rng.standard_normal(1) if pick_sampler(spec, cloud) == "cholesky"
+                h = (rng.standard_normal(1) if cholesky_sampler(spec, cloud) is not None
                      else sample_explicit(spec, cloud, rng))
                 row[:] = [window.mask((h - norm.a_n) / norm.b_n).sum() for window in windows]
             assert want.any()
@@ -220,6 +220,28 @@ class _BlockSpy:
         self.submitted.clear()
 
 
+def test_no_rem_run_factors_a_kernel(monkeypatch, capsys):
+    # the REM's kernel is the identity: sample_explicit draws it directly
+    inits, init = [], CholeskySampler.__init__
+
+    def spy(self, spec, cloud):
+        inits.append(spec)
+        init(self, spec, cloud)
+
+    def simulate(model):
+        for mode in ("quenched", "annealed"):
+            assert main(["simulate", "--override", f"model={model}", "--override", "n=12",
+                         "--override", "m=4", "--override", "replicas=20",
+                         "--override", f"mode={mode}"]) == 0
+        assert capsys.readouterr().out
+
+    monkeypatch.setattr(CholeskySampler, "__init__", spy)
+    simulate("rem")
+    assert inits == []
+    simulate("sk")  # the spy sees a factor: one quenched cloud, 20 annealed ones
+    assert inits == [ModelSpec.sk()] * 21
+
+
 def test_block_width_follows_the_route_and_workers_stay_under_the_cpus(monkeypatch):
     spy = _BlockSpy(monkeypatch)
     norm = Normalization(5.0)
@@ -228,7 +250,7 @@ def test_block_width_follows_the_route_and_workers_stay_under_the_cpus(monkeypat
     # explicit route below one block: every worker gets a share
     cloud = experiment_cloud(20, 5.0, seed=3)
     spec = ModelSpec.sk("laplace")
-    assert pipeline._cholesky_or_none(spec, cloud) is None
+    assert cholesky_sampler(spec, cloud) is None
     for threads in (2, 64):
         spy.clear()
         count_replicas(spec, cloud, norm, WINDOWS, 9, 400, threads=threads)
@@ -240,7 +262,7 @@ def test_block_width_follows_the_route_and_workers_stay_under_the_cpus(monkeypat
 
     # Cholesky route: full blocks at every thread count
     spec = ModelSpec.sk()
-    assert pipeline._cholesky_or_none(spec, cloud) is not None
+    assert cholesky_sampler(spec, cloud) is not None
     for threads in (1, 2, 3, 64):
         spy.clear()
         count_replicas(spec, cloud, norm, WINDOWS, 9, 2 * BLOCK_SIZE + 5, threads=threads)
@@ -285,7 +307,7 @@ def _gated_drawn_blocks(monkeypatch) -> list:
 
 def _forty_block_run(reduce, threads: int):
     cloud = experiment_cloud(10, 4.0, seed=2)
-    assert pipeline._cholesky_or_none(ModelSpec.sk(), cloud) is not None  # 2048-wide blocks
+    assert cholesky_sampler(ModelSpec.sk(), cloud) is not None  # 2048-wide blocks
     return pipeline._iter_blocks(ModelSpec.sk(), cloud, Normalization(4.0), 5,
                                  40 * BLOCK_SIZE, "quenched", threads, False, reduce)
 

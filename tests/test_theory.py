@@ -22,7 +22,6 @@ from remlab.pointproc import (
 from remlab.pipeline import count_replicas, experiment_cloud
 from remlab.theory import (
     SK_EPS_MAX,
-    _cov,
     _log_pair_probs,
     _log_triple_probs,
     _sum_exp,
@@ -350,7 +349,7 @@ def test_third_moment_merging_covariance_triples_keeps_the_bits(spec, n, m, wind
     # the sum as assembled from one kernel value per grid row, regular rows
     # first and degenerate rows last, each in grid order
     r12, r23, r31, log_count, distinct = triple_grid(n)
-    b12, b23, b31 = _cov(spec, r12), _cov(spec, r23), _cov(spec, r31)
+    b12, b23, b31 = spec.nu(r12), spec.nu(r23), spec.nu(r31)
     idx = np.nonzero(distinct)[0]
     idx = idx[np.argsort(_triple_degenerate(b12[idx], b23[idx], b31[idx]), kind="stable")]
     logp = _log_triple_probs(b12[idx], b23[idx], b31[idx], Normalization(m), window)
